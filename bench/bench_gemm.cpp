@@ -1,6 +1,10 @@
 // GEMM engine comparison: the untiled ikj sweep (planar::gemm) vs the tiled
 // driver (simd::gemm_tiled) vs the packed cache-blocked engine
-// (blas::gemm_packed), with machine-readable output (BENCH_gemm.json).
+// (blas::gemm_packed), with machine-readable output (BENCH_gemm.json). A
+// second section times the public AoS entry, blas::gemm on Float64x2
+// vectors (the same packed engine reading interleaved storage), at 1, 2
+// and 4 workers: the small cubes there are where the engine's ic x jr
+// split decides whether extra cores help.
 //
 // All three compute bit-identical results (the conformance tier enforces
 // it), so this benchmark isolates pure data-movement/scheduling effects:
@@ -22,7 +26,12 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 #include "blas/blas.hpp"
 #include "guard/guard.hpp"
@@ -62,13 +71,16 @@ planar::Vector<T, N> random_planar(std::size_t n, std::uint64_t seed) {
 }
 
 void report(bench::JsonReport& out, const char* kernel, const char* type,
-            int limbs, int width, double secs, double ops, std::size_t dim) {
+            int limbs, int width, double secs, double ops, std::size_t dim,
+            int threads = 0) {
     const double ns = secs / ops * 1e9;
     const double gflops = ops * flops_per_op(limbs) / secs / 1e9;
-    std::printf("  %-11s %-7s N=%d  %4zu^3  w=%-2d  %8.3f ns/op  %8.3f GFLOP-equiv/s\n",
+    std::printf("  %-11s %-7s N=%d  %4zu^3  w=%-2d  %8.3f ns/op  %8.3f GFLOP-equiv/s",
                 kernel, type, limbs, dim, width, ns, gflops);
-    out.add({kernel, type, limbs,
-             simd::backend_name(simd::active_backend()), width, ns, gflops, dim});
+    if (threads > 0) std::printf("  threads=%d", threads);
+    std::printf("\n");
+    out.add({kernel, type, limbs, simd::backend_name(simd::active_backend()), width, ns,
+             gflops, dim, threads});
 }
 
 /// One (type, N, n) cube through all three engines. C accumulates across
@@ -111,6 +123,63 @@ void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
                 "(speedup)", type_name, N, n, ts / tt, tt / tp);
 }
 
+/// Public AoS blas::gemm (C = A B over Float64x2 vectors) on one cube at 1,
+/// 2 and 4 workers. Builds without OpenMP cannot set the worker count, so
+/// they record the runtime default only.
+void run_blas_gemm(bench::JsonReport& out, std::size_t dim, double min_time) {
+    using V = MultiFloat<double, 2>;
+    const std::size_t n = runtime_size(dim);
+    const double ops = double(n) * double(n) * double(n);
+    std::mt19937_64 rng(5);
+    std::vector<V> a(n * n), b(n * n), c(n * n);
+    for (V& x : a) x = V(bench::fill_value(rng));
+    for (V& x : b) x = V(bench::fill_value(rng));
+    const int width = simd::active_width<double>();
+    const auto time_gemm = [&] {
+        return bench::median_time(
+            [&] {
+                blas::gemm(blas::view(std::as_const(a), n, n),
+                           blas::view(std::as_const(b), n, n), blas::view(c, n, n));
+            },
+            min_time);
+    };
+#if defined(_OPENMP)
+    const int saved = omp_get_max_threads();
+    for (int t : {1, 2, 4}) {
+        omp_set_num_threads(t);
+        report(out, "blas_gemm", "double", 2, width, time_gemm(), ops, n, t);
+    }
+    omp_set_num_threads(saved);
+#else
+    report(out, "blas_gemm", "double", 2, width, time_gemm(), ops, n,
+           static_cast<int>(blas::engine::default_threads()));
+#endif
+}
+
+/// Cost of one engine fork/join: an empty parallel_blocks_slots region with
+/// one block per worker, for a constant team and for a team that alternates
+/// between 2 and 4 workers (an OpenMP runtime may retire the surplus threads
+/// of a smaller team and create them again for the next larger one). This
+/// is the overhead engine::kForkMadds weighs a worker's share against.
+void report_fork_join(double min_time) {
+    const auto region = [](unsigned nw) {
+        blas::engine::parallel_blocks_slots(
+            nw, [](std::size_t, unsigned) {}, blas::engine::ThreadMode::automatic, nw);
+    };
+    std::printf("bench_gemm: engine fork/join, empty region");
+    for (unsigned nw : {2u, 4u}) {
+        std::printf("  %u workers %.2f us", nw,
+                    bench::median_time([&] { region(nw); }, min_time) * 1e6);
+    }
+    const double pair = bench::median_time(
+        [&] {
+            region(2);
+            region(4);
+        },
+        min_time);
+    std::printf("  alternating 2/4 pair %.2f us\n", pair * 1e6);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,6 +213,10 @@ int main(int argc, char** argv) {
     run_cube<double, 3>(out, "double", quick ? 96 : 160, min_time);
     run_cube<double, 4>(out, "double", quick ? 64 : 128, min_time);
     run_cube<float, 2>(out, "float", quick ? 128 : 256, min_time);
+
+    std::printf("bench_gemm: AoS blas::gemm, Float64x2, 1/2/4 workers\n");
+    for (std::size_t dim : {64, 128, 256}) run_blas_gemm(out, dim, min_time);
+    report_fork_join(min_time);
 
     if (!out.write(path)) return 1;
     std::printf("bench_gemm: wrote %s\n", path.c_str());

@@ -102,10 +102,12 @@ bool JsonReport::write(const std::string& path) const {
         std::fprintf(f,
                      "%s\n    {\"kernel\": \"%s\", \"type\": \"%s\", \"limbs\": %d, "
                      "\"backend\": \"%s\", \"width\": %d, "
-                     "\"ns_per_op\": %.6g, \"gflops_equiv\": %.6g, \"dim\": %zu}",
+                     "\"ns_per_op\": %.6g, \"gflops_equiv\": %.6g, \"dim\": %zu",
                      i ? "," : "", clean(r.kernel).c_str(), clean(r.type).c_str(),
                      r.limbs, clean(r.backend).c_str(), r.width, r.ns_per_op,
                      r.gflops_equiv, r.dim);
+        if (r.threads > 0) std::fprintf(f, ", \"threads\": %d", r.threads);
+        std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);

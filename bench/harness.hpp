@@ -118,6 +118,8 @@ struct JsonRecord {
     double ns_per_op = 0.0;
     double gflops_equiv = 0.0;
     std::size_t dim = 0;  // problem dimension (GEMM n of n^3), 0 = n/a
+    int threads = 0;      // workers the record ran with; 0 = runtime default
+                          // (the document-level "threads" stamp), omitted
 };
 
 /// Collects JsonRecords and writes one self-describing JSON document.

@@ -1,18 +1,27 @@
 #pragma once
 // BLIS-style packed cache-blocked GEMM engine (DESIGN.md §11).
 //
-// C += A B with A (n x k), B (k x m), C (n x m), all planar row-major views
-// -- the same accumulate contract as planar::gemm and simd::gemm_tiled.
+// C += A B with A (n x k), B (k x m), C (n x m), row-major -- the same
+// accumulate contract as planar::gemm and simd::gemm_tiled. One loop nest
+// (engine::gemm_accumulate) serves both storage layouts: planar views
+// through gemm_packed below, interleaved MultiFloat views through
+// blas::gemm (kernels.hpp). It reads operands only through the layout
+// accessors of layout.hpp and never copies a whole matrix.
 //
 // Loop structure (outside in), following the classical
 // Goto/BLIS decomposition:
 //
 //   jc over m in nc columns     B column-panel        (L3-resident packed)
 //    pc over k in kc rows       pack B(pc, jc) once   (ascending: kk order)
-//     ic over n in mc rows      macro-panels, parallel (owner-computes)
+//     ic over n in mc rows      macro-panels           (parallel, see below)
 //       pack A(ic, pc)          per-worker scratch     (L2-resident packed)
 //       jr over nc in NR cols   packed-B micro-panel   (L1-resident)
 //        ir over mc in MR rows  register micro-kernel  (microkernel.hpp)
+//
+// The parallel work items are the ic row blocks when there are at least as
+// many as workers; otherwise each row block's jr micro-panels are also cut
+// into column ranges, so small and skinny products still reach every core
+// (plan_partition, threading.hpp).
 //
 // Block sizes mc/kc/nc are selected per detected backend at dispatch time
 // (auto_blocks below; pack width and expansion length set the micro-tile
@@ -21,21 +30,22 @@
 // Determinism/bit-identity: the pc loop ascends and the micro-kernel ascends
 // kk within each pc block, so every C element sees its k updates in exactly
 // planar::gemm's order, each update being the identical add(mul(.,.),.)
-// FPAN sequence; macro-panels partition whole C row blocks per worker
-// (owner-computes, threading.hpp), so no element is touched by two threads.
+// FPAN sequence; work items partition C into disjoint (row block, jr
+// column range) pieces per worker (owner-computes, threading.hpp's
+// plan_partition), so no element is touched by two threads.
 // Result: bit-identical to sequential planar::gemm for every backend, thread
 // count, and threading substrate -- enforced by check::diff_gemm_packed and
 // the fuzz-smoke conformance tier.
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <new>
 
 #include "../../guard/guard.hpp"
 #include "../../simd/dispatch.hpp"
 #include "../../telemetry/events.hpp"
 #include "../planar.hpp"
+#include "layout.hpp"
 #include "microkernel.hpp"
 #include "packing.hpp"
 #include "threading.hpp"
@@ -90,136 +100,171 @@ template <std::floating_point T, int N>
 
 namespace detail {
 
-/// Sequential unpacked fallback: planar::gemm's exact ikj order re-expressed
-/// over (possibly strided) views. Bit-identical to gemm_packed for every
-/// pack width, because each C element sees its k updates kk-ascending and
-/// every update is the same lane-independent fma_range FPAN sequence --
-/// which is why gemm_packed may switch to this path when panel scratch
+/// Sequential unpacked fallback over layout accessors: planar::gemm's ikj
+/// order, one kk-ascending add(mul(a_ik, b_kj), c_ij) per element, W
+/// columns at a time through the accessors' pack loads plus a scalar tail.
+/// Bit-identical to the packed loop nest for every layout and pack width --
+/// which is why gemm_accumulate may switch to this path when panel scratch
 /// cannot be allocated without changing a single result bit.
-template <FloatingPoint T, int N>
-void gemm_planar_views(planar::ConstMatrixView<T, N> a,
-                       planar::ConstMatrixView<T, N> b,
-                       planar::MatrixView<T, N> c) {
-    const std::size_t n = c.rows;
-    const std::size_t m = c.cols;
-    const std::size_t k = a.cols;
+template <typename AAccess, typename BAccess, typename CAccess>
+void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c) {
+    using T = typename CAccess::value_type;
+    constexpr int N = CAccess::limbs;
     simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const MultiFloat<T, N> aik = a.get(i, kk);
-                const T* brow[N];
-                T* crow[N];
-                for (int p = 0; p < N; ++p) {
-                    brow[p] = b.row(p, kk);
-                    crow[p] = c.row(p, i);
+        constexpr int W = w();
+        using P = simd::Pack<T, W>;
+        for (std::size_t i = 0; i < c.rows; ++i) {
+            for (std::size_t kk = 0; kk < a.cols; ++kk) {
+                MultiFloat<T, N> aik;
+                for (int p = 0; p < N; ++p) aik.limb[p] = a.limb(p, i, kk);
+                const MultiFloat<P, N> av = simd::kernels::broadcast<P, T, N>(aik);
+                std::size_t j = 0;
+                for (; j + W <= c.cols; j += W) {
+                    c.template store<P>(i, j, add(mul(av, b.template load<P>(kk, j)),
+                                                  c.template load<P>(i, j)));
                 }
-                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, m);
+                for (; j < c.cols; ++j) {
+                    MultiFloat<T, N> bkj, cij;
+                    for (int p = 0; p < N; ++p) {
+                        bkj.limb[p] = b.limb(p, kk, j);
+                        cij.limb[p] = c.limb(p, i, j);
+                    }
+                    cij = add(mul(aik, bkj), cij);
+                    for (int p = 0; p < N; ++p) c.limb(p, i, j) = cij.limb[p];
+                }
             }
         }
     });
 }
 
 }  // namespace detail
-}  // namespace engine
 
-/// C += A B through packed panels and the register-blocked micro-kernel.
-/// Bit-identical to planar::gemm (see file header); degenerate shapes
-/// (any zero dimension) are no-ops.
+/// The packed loop nest: C += A B over layout accessors (layout.hpp), so the
+/// same code runs planar and AoS operands. Unguarded: the public entries
+/// (gemm_packed below, blas::gemm) own the FP-environment sentinel and pass
+/// `nominal_env` = whether it enforced, so the workers enforce too.
 ///
-/// Robustness (DESIGN.md §12): the entry point carries an FP-environment
-/// sentinel (MF_GUARD_POLICY decides detect/enforce behavior); ALL panel
-/// scratch -- the shared B panel plus one A block per worker slot -- is
-/// reserved before any C element is written, and reservation failure
-/// degrades to the sequential unpacked path above (bit-identical, counted
-/// as mf_guard_degraded_total{path="alloc"}). After the up-front reserve,
-/// the in-loop ensure() calls are guaranteed allocation-free: every block
-/// extent is bounded by the reserved worst case.
-template <FloatingPoint T, int N>
-void gemm_packed(planar::ConstMatrixView<T, N> a, planar::ConstMatrixView<T, N> b,
-                 planar::MatrixView<T, N> c, const GemmConfig& cfg = {}) {
+/// Robustness (DESIGN.md §12): ALL panel scratch -- the shared B panel plus
+/// one A block per worker slot -- is reserved before any C element is
+/// written, and reservation failure degrades to detail::gemm_unpacked
+/// (bit-identical, counted as mf_guard_degraded_total{path="alloc"}).
+/// Nothing allocates after that: every block extent is bounded by the
+/// reserved worst case.
+template <typename AAccess, typename BAccess, typename CAccess>
+void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
+                     const GemmConfig& cfg = {}, bool nominal_env = false) {
+    using T = typename CAccess::value_type;
+    constexpr int N = CAccess::limbs;
     const std::size_t n = c.rows;
     const std::size_t m = c.cols;
     const std::size_t k = a.cols;
     if (n == 0 || m == 0 || k == 0) return;
-    MF_GUARD_SENTINEL("blas.gemm_packed");
-    // One backend resolve per call, like gemm_tiled; everything below runs
-    // width-templated.
+    // One backend resolve per call; everything below runs width-templated.
     simd::with_active_width<T>([&](auto w) {
         constexpr int W = w();
-        using MK = engine::MicroKernel<T, N, W>;
-        const BlockShape bs = engine::auto_blocks<T, N>(MK::MR, MK::NR, cfg.blocks);
-        const std::size_t nblocks = (n + bs.mc - 1) / bs.mc;
-        const unsigned nslots =
-            engine::planned_workers(nblocks, cfg.threads, cfg.max_threads);
-        engine::AlignedBuffer<T> bbuf;
-        std::unique_ptr<engine::AlignedBuffer<T>[]> abufs;
+        using MK = MicroKernel<T, N, W>;
+        constexpr auto MR = static_cast<std::size_t>(MK::MR);
+        constexpr auto NR = static_cast<std::size_t>(MK::NR);
+        const BlockShape bs = auto_blocks<T, N>(MK::MR, MK::NR, cfg.blocks);
+        const std::size_t row_blocks = (n + bs.mc - 1) / bs.mc;
+        const std::size_t panels = (std::min(bs.nc, m) + NR - 1) / NR;
+        const Partition plan =
+            plan_partition(row_blocks, panels, (n + MR - 1) / MR * panels,
+                           MR * NR * std::min(bs.kc, k), cfg.threads, cfg.max_threads);
+        // Column-split plans share each row block among several workers; even
+        // out the row blocks (same count, sizes within MR of each other) so
+        // no worker's share is a full mc block while another's is a stub.
+        std::size_t mc = bs.mc;
+        if (plan.col_splits > 1) {
+            mc = std::min(mc, ((n + row_blocks - 1) / row_blocks + MR - 1) / MR * MR);
+        }
+        // Pack scratch: the shared B panel, then one A block per worker slot,
+        // each padded to whole cache lines, in one allocation -- a call's
+        // scratch is a single heap chunk the next call can reuse, where
+        // separate panel allocations fragment the heap call after call.
+        constexpr std::size_t line = AlignedBuffer<T>::alignment / sizeof(T);
+        const auto lines = [](std::size_t len) { return (len + line - 1) / line * line; };
+        const std::size_t b_len = lines(static_cast<std::size_t>(N) * std::min(bs.kc, k) *
+                                        std::min(bs.nc, m));
+        const std::size_t a_len = lines(static_cast<std::size_t>(N) * std::min(mc, n) *
+                                        std::min(bs.kc, k));
+        AlignedBuffer<T> scratch;
         try {
-            // Reserve the worst-case panel footprint up front: the shared B
-            // panel and one A block per worker slot. C is untouched until
-            // this succeeds, so a bad_alloc here (real or injected) can
-            // still choose a different execution strategy.
-            abufs.reset(new engine::AlignedBuffer<T>[nslots]);
-            bbuf.ensure(static_cast<std::size_t>(N) * std::min(bs.kc, k) *
-                        std::min(bs.nc, m));
-            for (unsigned s = 0; s < nslots; ++s) {
-                abufs[s].ensure(static_cast<std::size_t>(N) *
-                                std::min(bs.mc, n) * std::min(bs.kc, k));
-            }
+            // Reserve the worst-case footprint up front. C is untouched
+            // until this succeeds, so a bad_alloc here (real or injected)
+            // can still choose a different execution strategy.
+            scratch.ensure(b_len + plan.workers * a_len);
         } catch (const std::bad_alloc&) {
             MF_TELEM_COUNT_N("mf_guard_degraded_total{path=\"alloc\"}", 1);
-            engine::detail::gemm_planar_views<T, N>(a, b, c);
+            detail::gemm_unpacked(a, b, c);
             return;
         }
+        T* const bbuf = scratch.data();
         const T* bpk[N];
         for (std::size_t jc = 0; jc < m; jc += bs.nc) {
             const std::size_t ncb = std::min(bs.nc, m - jc);
+            const std::size_t jpanels = (ncb + NR - 1) / NR;
+            const std::size_t splits = std::min(plan.col_splits, jpanels);
             for (std::size_t pc = 0; pc < k; pc += bs.kc) {
                 const std::size_t kcb = std::min(bs.kc, k - pc);
-                // Packed once, read-only for every worker of the ic loop.
-                engine::pack_b<T, N>(b, pc, jc, kcb, ncb, bbuf, bpk);
+                // Packed once, read-only for every worker below.
+                pack_b(b, pc, jc, kcb, ncb, bbuf, bpk);
                 // Fault-injection checkpoint: a mid-call environment flip
                 // lands here; the sentinel's exit probe must notice it.
                 guard::inject::maybe_perturb_env();
-                engine::parallel_blocks_slots(
-                    nblocks,
-                    [&](std::size_t ib, unsigned slot) {
+                parallel_blocks_slots(
+                    row_blocks * splits,
+                    [&](std::size_t item, unsigned slot) {
                         MF_TELEM_SPAN_TIMED("gemm_macro_panel",
                                             "mf_gemm_macro_panel_ns");
-                        const std::size_t ic = ib * bs.mc;
-                        const std::size_t mcb = std::min(bs.mc, n - ic);
+                        const std::size_t ib = item / splits;
+                        const std::size_t sp = item % splits;
+                        const std::size_t ic = ib * mc;
+                        const std::size_t mcb = std::min(mc, n - ic);
                         // Pre-reserved per-slot scratch: allocation-free.
-                        engine::AlignedBuffer<T>& abuf = abufs[slot];
                         const T* apk[N];
-                        engine::pack_a<T, N>(a, ic, pc, mcb, kcb, abuf, apk);
-                        for (std::size_t jr = 0; jr < ncb; jr += MK::NR) {
-                            const std::size_t nrb = std::min<std::size_t>(
-                                static_cast<std::size_t>(MK::NR), ncb - jr);
+                        pack_a(a, ic, pc, mcb, kcb, bbuf + b_len + slot * a_len, apk);
+                        const std::size_t jr0 = NR * (jpanels * sp / splits);
+                        const std::size_t jr1 =
+                            std::min(ncb, NR * (jpanels * (sp + 1) / splits));
+                        for (std::size_t jr = jr0; jr < jr1; jr += NR) {
+                            const std::size_t nrb = std::min(NR, ncb - jr);
                             const T* bpt[N];
                             for (int p = 0; p < N; ++p) bpt[p] = bpk[p] + jr;
-                            for (std::size_t ir = 0; ir < mcb; ir += MK::MR) {
-                                const std::size_t mrb = std::min<std::size_t>(
-                                    static_cast<std::size_t>(MK::MR), mcb - ir);
+                            for (std::size_t ir = 0; ir < mcb; ir += MR) {
+                                const std::size_t mrb = std::min(MR, mcb - ir);
                                 const T* apt[N];
-                                T* cpt[N];
-                                for (int p = 0; p < N; ++p) {
-                                    apt[p] = apk[p] + ir * kcb;
-                                    cpt[p] = c.row(p, ic + ir) + jc + jr;
-                                }
+                                for (int p = 0; p < N; ++p) apt[p] = apk[p] + ir * kcb;
                                 MF_TELEM_COUNT("mf_gemm_microkernel_total");
-                                if (mrb == static_cast<std::size_t>(MK::MR) &&
-                                    nrb == static_cast<std::size_t>(MK::NR)) {
-                                    MK::full(apt, kcb, bpt, ncb, cpt, c.stride, kcb);
+                                if (mrb == MR && nrb == NR) {
+                                    MK::full(apt, kcb, bpt, ncb, c, ic + ir, jc + jr, kcb);
                                 } else {
-                                    MK::edge(apt, kcb, bpt, ncb, cpt, c.stride,
-                                             kcb, mrb, nrb);
+                                    MK::edge(apt, kcb, bpt, ncb, c, ic + ir, jc + jr, kcb,
+                                             mrb, nrb);
                                 }
                             }
                         }
                     },
-                    cfg.threads, cfg.max_threads);
+                    cfg.threads, plan.workers, nominal_env);
             }
         }
     });
+}
+
+}  // namespace engine
+
+/// C += A B through packed panels and the register-blocked micro-kernel,
+/// planar views. Bit-identical to planar::gemm (see file header);
+/// degenerate shapes (any zero dimension) are no-ops. The entry point
+/// carries an FP-environment sentinel (MF_GUARD_POLICY decides
+/// detect/enforce behavior; DESIGN.md §12).
+template <FloatingPoint T, int N>
+void gemm_packed(planar::ConstMatrixView<T, N> a, planar::ConstMatrixView<T, N> b,
+                 planar::MatrixView<T, N> c, const GemmConfig& cfg = {}) {
+    if (c.rows == 0 || c.cols == 0 || a.cols == 0) return;
+    const guard::Sentinel sentinel{"blas.gemm_packed"};
+    engine::gemm_accumulate(engine::access(a), engine::access(b), engine::access(c), cfg,
+                            sentinel.enforced());
 }
 
 /// All-mutable-view overload: template deduction cannot cross the

@@ -18,6 +18,10 @@
 // as scalars (pack.hpp), so the packed result is bit-for-bit planar::gemm's
 // (enforced by check::diff_gemm_packed / tests/gemm_threads_test.cpp).
 //
+// C is reached only through a layout accessor (layout.hpp), so the same
+// kernel serves planar and AoS matrices: a full tile loads and stores its
+// MR x NR block once per kc sweep, and never otherwise touches C.
+//
 // Edge tiles (rows < mr from the last row block, cols < nr from the last
 // column block) drop to a per-row fma_range sweep over the packed panels --
 // a different loop shape but, per element, the same kk-ascending updates, so
@@ -25,9 +29,9 @@
 
 #include <cstddef>
 
+#include "../../mf/multifloat.hpp"
 #include "../../simd/kernels.hpp"
 #include "../../simd/pack.hpp"
-#include "../planar.hpp"
 
 namespace mf::blas::engine {
 
@@ -48,20 +52,19 @@ struct MicroKernel {
     /// Columns per micro-tile.
     static constexpr int NR = NRP * W;
 
-    /// Full tile: C[0:MR, 0:NR] += A(0:MR, 0:kc) * B(0:kc, 0:NR).
+    /// Full tile: C[i0:i0+MR, j0:j0+NR] += A(0:MR, 0:kc) * B(0:kc, 0:NR).
     /// ap[p]: packed A plane p at the tile's row origin, row stride lda (=kc);
     /// bp[p]: packed B plane p at the tile's column origin, row stride ldb;
-    /// cp[p]: C plane p at the tile's (row, column) origin, row stride ldc.
+    /// c: layout accessor of C (layout.hpp), read and written only here.
+    template <typename CAccess>
     static void full(const T* const (&ap)[N], std::size_t lda,
-                     const T* const (&bp)[N], std::size_t ldb,
-                     T* const (&cp)[N], std::size_t ldc, std::size_t kc) {
+                     const T* const (&bp)[N], std::size_t ldb, const CAccess& c,
+                     std::size_t i0, std::size_t j0, std::size_t kc) {
         MultiFloat<P, N> acc[MR][NRP];
         for (int r = 0; r < MR; ++r) {
             for (int q = 0; q < NRP; ++q) {
-                for (int p = 0; p < N; ++p) {
-                    acc[r][q].limb[p] =
-                        P::load(cp[p] + static_cast<std::size_t>(r) * ldc + q * W);
-                }
+                acc[r][q] = c.template load<P>(i0 + static_cast<std::size_t>(r),
+                                               j0 + static_cast<std::size_t>(q) * W);
             }
         }
         for (std::size_t kk = 0; kk < kc; ++kk) {
@@ -84,30 +87,41 @@ struct MicroKernel {
         }
         for (int r = 0; r < MR; ++r) {
             for (int q = 0; q < NRP; ++q) {
-                for (int p = 0; p < N; ++p) {
-                    acc[r][q].limb[p].store(
-                        cp[p] + static_cast<std::size_t>(r) * ldc + q * W);
-                }
+                c.template store<P>(i0 + static_cast<std::size_t>(r),
+                                    j0 + static_cast<std::size_t>(q) * W, acc[r][q]);
             }
         }
     }
 
     /// Partial tile (rows <= MR, cols <= NR, at least one of them short):
-    /// per-row kk-ascending fma_range sweeps over the packed panels -- same
-    /// per-element update sequence, memory-accumulated.
+    /// the C tile is staged in a planar scratch tile, swept row by row with
+    /// kk-ascending fma_range over the packed panels, and written back --
+    /// same per-element update sequence, memory-accumulated, any layout.
+    template <typename CAccess>
     static void edge(const T* const (&ap)[N], std::size_t lda,
-                     const T* const (&bp)[N], std::size_t ldb,
-                     T* const (&cp)[N], std::size_t ldc, std::size_t kc,
+                     const T* const (&bp)[N], std::size_t ldb, const CAccess& c,
+                     std::size_t i0, std::size_t j0, std::size_t kc,
                      std::size_t rows, std::size_t cols) {
+        T tile[N][MR * NR];
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t j = 0; j < cols; ++j) {
+                for (int p = 0; p < N; ++p) tile[p][r * NR + j] = c.limb(p, i0 + r, j0 + j);
+            }
+        }
         for (std::size_t r = 0; r < rows; ++r) {
             T* crow[N];
-            for (int p = 0; p < N; ++p) crow[p] = cp[p] + r * ldc;
+            for (int p = 0; p < N; ++p) crow[p] = tile[p] + r * NR;
             for (std::size_t kk = 0; kk < kc; ++kk) {
                 MultiFloat<T, N> a_s;
                 for (int p = 0; p < N; ++p) a_s.limb[p] = ap[p][r * lda + kk];
                 const T* brow[N];
                 for (int p = 0; p < N; ++p) brow[p] = bp[p] + kk * ldb;
                 simd::kernels::fma_range<T, N, W>(a_s, brow, crow, 0, cols);
+            }
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t j = 0; j < cols; ++j) {
+                for (int p = 0; p < N; ++p) c.limb(p, i0 + r, j0 + j) = tile[p][r * NR + j];
             }
         }
     }

@@ -16,21 +16,30 @@
 //
 // so the dispatched Pack<T, W> FPAN kernels run stride-1 loads over packed B
 // rows and packed C rows, and the per-(row, kk) A broadcast reads one scalar
-// per plane. Because the source views are planar and row-major too, every
-// copy below is a contiguous row segment: packing costs O(block) straight
-// memcpy-shaped loops, amortized over O(block * panel) flops.
+// per plane. The source is read through a layout accessor (layout.hpp): a
+// planar source gives contiguous row segments (memcpy-shaped loops), an AoS
+// source a stride-N gather per plane. Either way packing costs O(block),
+// amortized over O(block * panel) flops, and it is the only place the
+// engine reads A or B.
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 #include "../../guard/inject.hpp"
 #include "../../telemetry/events.hpp"
-#include "../planar.hpp"
 
 namespace mf::blas::engine {
 
 /// 64-byte-aligned uninitialized scratch, grow-only (reallocation keeps no
 /// contents: packing always overwrites the block it is about to use).
+///
+/// The block is a plain allocation of n elements plus one alignment's slack,
+/// aligned by hand. An aligned operator new (glibc memalign) needs a free
+/// chunk larger than the request, so it cannot reuse the hole its own
+/// previous same-size block left behind; with one scratch block per GEMM
+/// call, that pushed every other call to fresh heap and grew the resident
+/// set call after call.
 template <typename T>
 class AlignedBuffer {
 public:
@@ -43,14 +52,15 @@ public:
 
     /// Ensure capacity for n elements; returns the (aligned) base pointer.
     /// Throws std::bad_alloc on exhaustion (real or injected) -- callers that
-    /// must not fail mid-computation pre-reserve their worst case up front
-    /// (gemm_packed does), after which in-loop ensure() calls never allocate.
+    /// must not fail mid-computation reserve their worst case up front (the
+    /// packed GEMM does). Each real allocation is one fault-injection point.
     T* ensure(std::size_t n) {
         if (n > cap_) {
             release();
             if (guard::inject::should_fail_alloc()) throw std::bad_alloc{};
-            p_ = static_cast<T*>(
-                ::operator new(n * sizeof(T), std::align_val_t{alignment}));
+            raw_ = ::operator new(n * sizeof(T) + alignment);
+            const auto addr = reinterpret_cast<std::uintptr_t>(raw_);
+            p_ = reinterpret_cast<T*>((addr + alignment - 1) & ~(alignment - 1));
             cap_ = n;
         }
         return p_;
@@ -60,49 +70,49 @@ public:
 
 private:
     void release() noexcept {
-        if (p_) ::operator delete(p_, std::align_val_t{alignment});
+        ::operator delete(raw_);
+        raw_ = nullptr;
         p_ = nullptr;
         cap_ = 0;
     }
 
+    void* raw_ = nullptr;
     T* p_ = nullptr;
     std::size_t cap_ = 0;
 };
 
-/// Pack the (mcb x kcb) block of A at (i0, k0) into `buf`, plane-major.
-/// On return planes[p] points at packed plane p (row stride kcb).
-template <std::floating_point T, int N>
-void pack_a(const planar::ConstMatrixView<T, N>& a, std::size_t i0, std::size_t k0,
-            std::size_t mcb, std::size_t kcb, AlignedBuffer<T>& buf,
-            const T* (&planes)[N]) {
-    T* dst = buf.ensure(static_cast<std::size_t>(N) * mcb * kcb);
+/// Pack the (mcb x kcb) block of A at (i0, k0) into `dst` (N * mcb * kcb
+/// limbs), plane-major. `a` is a layout accessor (layout.hpp). On return
+/// planes[p] points at packed plane p (row stride kcb).
+template <typename Access, typename T = typename Access::value_type,
+          int N = Access::limbs>
+void pack_a(const Access& a, std::size_t i0, std::size_t k0, std::size_t mcb,
+            std::size_t kcb, T* dst, const T* (&planes)[N]) {
     for (int p = 0; p < N; ++p) {
         T* plane = dst + static_cast<std::size_t>(p) * mcb * kcb;
         planes[p] = plane;
         for (std::size_t r = 0; r < mcb; ++r) {
-            const T* src = a.row(p, i0 + r) + k0;
             T* out = plane + r * kcb;
-            for (std::size_t kk = 0; kk < kcb; ++kk) out[kk] = src[kk];
+            for (std::size_t kk = 0; kk < kcb; ++kk) out[kk] = a.limb(p, i0 + r, k0 + kk);
         }
     }
     MF_TELEM_COUNT_N("mf_gemm_pack_bytes_total{panel=\"a\"}",
                      static_cast<std::size_t>(N) * mcb * kcb * sizeof(T));
 }
 
-/// Pack the (kcb x ncb) block of B at (k0, j0) into `buf`, plane-major.
-/// On return planes[p] points at packed plane p (row stride ncb).
-template <std::floating_point T, int N>
-void pack_b(const planar::ConstMatrixView<T, N>& b, std::size_t k0, std::size_t j0,
-            std::size_t kcb, std::size_t ncb, AlignedBuffer<T>& buf,
-            const T* (&planes)[N]) {
-    T* dst = buf.ensure(static_cast<std::size_t>(N) * kcb * ncb);
+/// Pack the (kcb x ncb) block of B at (k0, j0) into `dst` (N * kcb * ncb
+/// limbs), plane-major. `b` is a layout accessor (layout.hpp). On return
+/// planes[p] points at packed plane p (row stride ncb).
+template <typename Access, typename T = typename Access::value_type,
+          int N = Access::limbs>
+void pack_b(const Access& b, std::size_t k0, std::size_t j0, std::size_t kcb,
+            std::size_t ncb, T* dst, const T* (&planes)[N]) {
     for (int p = 0; p < N; ++p) {
         T* plane = dst + static_cast<std::size_t>(p) * kcb * ncb;
         planes[p] = plane;
         for (std::size_t kk = 0; kk < kcb; ++kk) {
-            const T* src = b.row(p, k0 + kk) + j0;
             T* out = plane + kk * ncb;
-            for (std::size_t j = 0; j < ncb; ++j) out[j] = src[j];
+            for (std::size_t j = 0; j < ncb; ++j) out[j] = b.limb(p, k0 + kk, j0 + j);
         }
     }
     MF_TELEM_COUNT_N("mf_gemm_pack_bytes_total{panel=\"b\"}",

@@ -2,12 +2,14 @@
 // Static owner-computes parallelism for the packed GEMM engine
 // (DESIGN.md §11), with graceful degradation (DESIGN.md §12).
 //
-// gemm_packed parallelizes over macro-panels: contiguous mc-row blocks of C.
-// Each worker owns a contiguous range of whole blocks ("owner-computes"), so
-// every C element is written by exactly one thread and the kk-ascending
-// update order per element is untouched -- the result is bit-identical to
-// the sequential run for ANY worker count, which is what the conformance
-// differ enforces (check::diff_gemm_packed).
+// gemm_packed parallelizes over work items: an mc-row block of C, or (when
+// there are fewer row blocks than workers) one column range of jr
+// micro-panels within a row block -- plan_partition below derives which
+// from the shape. Each worker owns a contiguous range of whole items
+// ("owner-computes"), so every C element is written by exactly one thread
+// and the kk-ascending update order per element is untouched -- the result
+// is bit-identical to the sequential run for ANY worker count, which is
+// what the conformance differ enforces (check::diff_gemm_packed).
 //
 // Two execution substrates behind one entry point:
 //   * OpenMP (when compiled in): one parallel region per call, same
@@ -17,9 +19,15 @@
 //   * a std::thread fallback pool, used when OpenMP is not compiled in, or
 //     on request (ThreadMode::pool) so OpenMP builds can still exercise and
 //     differential-test the fallback path.
-// Workers are forked per call; at macro-panel granularity (hundreds of
-// microseconds to milliseconds of work per block) the fork/join cost is
-// noise, and a persistent pool would be one more global to tear down.
+// Workers are forked per call; plan_partition never hands a worker less
+// work than the fork costs, and a persistent pool would be one more global
+// to tear down.
+//
+// FP environment: a caller whose guard sentinel enforced a nominal
+// environment asks for `nominal_env`, and every worker other than the
+// calling thread then installs guard::ScopedFpEnv around its range -- a
+// pooled OpenMP thread keeps whatever rounding mode it last ran under, so
+// the caller's repaired environment does not reach it by itself.
 //
 // Degradation contract: a std::thread construction that throws
 // std::system_error (pthread limit, cgroup cap, or an injected fault) is
@@ -29,7 +37,10 @@
 // ownership stays a partition of [0, nblocks) and per-block work is
 // unchanged, the degraded run is bit-identical to the healthy one.
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -39,6 +50,7 @@
 #include <omp.h>
 #endif
 
+#include "../../guard/fp_env.hpp"
 #include "../../guard/inject.hpp"
 #include "../../telemetry/events.hpp"
 
@@ -51,8 +63,10 @@ enum class ThreadMode {
     serial,     ///< no worker threads at all
 };
 
-/// Same guard as blas::detail::in_parallel; redeclared here so the engine
-/// headers stay self-contained.
+/// True when already executing inside an OpenMP parallel region. Every
+/// parallel region in the library (engine, blas:: kernels, simd tiling)
+/// checks this and runs serially instead of oversubscribing with nested
+/// teams.
 inline bool in_parallel() noexcept {
 #if defined(_OPENMP)
     return omp_in_parallel() != 0;
@@ -85,6 +99,54 @@ inline bool in_parallel() noexcept {
     return nw;
 }
 
+/// Shape-derived work split of one packed-GEMM macro-iteration: C's
+/// `row_blocks` mc-row blocks, each cut into `col_splits` ranges of jr
+/// micro-panels, give row_blocks * col_splits work items; item
+/// `ib * col_splits + s` is column range s of row block ib.
+struct Partition {
+    std::size_t row_blocks = 1;
+    std::size_t col_splits = 1;  ///< 1 = the ic-only partition
+    unsigned workers = 1;        ///< planned worker slots (see planned_workers)
+
+    [[nodiscard]] std::size_t items() const noexcept { return row_blocks * col_splits; }
+};
+
+/// Multiply-adds one worker must receive before forking it pays. On a
+/// 4-core AVX-512 Xeon (bench_gemm prints the fork/join line), an empty
+/// engine region costs about 2 us at 4 workers, and 16384 madds are about
+/// 20 us of one worker's micro-kernel time (Float64x2, 1.2 ns/madd): ten
+/// fork/joins. A region larger than the one before it costs more (about
+/// 40 us there: the OpenMP runtime re-creates the threads it retired), but
+/// only once per team growth.
+inline constexpr std::size_t kForkMadds = 16384;
+
+/// Plan the split for `row_blocks` row blocks of `panels` jr micro-panels
+/// each, `tiles` micro-tiles in all, each tile worth `tile_madds`.
+///
+///  * Row blocks fill the workers: keep the ic-only partition (one item per
+///    row block, planned_workers of them) -- large products are untouched.
+///  * Otherwise add workers up to the runtime cap, but never so many that
+///    one gets fewer micro-tiles than kForkMadds buys, and never fewer than
+///    the ic-only plan had. Each row block is cut into
+///    workers / gcd(row_blocks, workers) column ranges (at most one per
+///    micro-panel), so the item count is a multiple of the workers and the
+///    static partition stays balanced.
+[[nodiscard]] inline Partition plan_partition(std::size_t row_blocks, std::size_t panels,
+                                              std::size_t tiles, std::size_t tile_madds,
+                                              ThreadMode mode = ThreadMode::automatic,
+                                              unsigned max_threads = 0) noexcept {
+    Partition plan{row_blocks, 1, planned_workers(row_blocks, mode, max_threads)};
+    if (mode == ThreadMode::serial || in_parallel()) return plan;
+    const unsigned cap = max_threads ? max_threads : default_threads();
+    if (cap <= row_blocks) return plan;
+    const std::size_t min_tiles = (kForkMadds + tile_madds - 1) / tile_madds;
+    const std::size_t nw = std::min<std::size_t>(cap, tiles / min_tiles);
+    if (nw <= row_blocks) return plan;
+    plan.col_splits = std::min(nw / std::gcd(row_blocks, nw), panels);
+    plan.workers = static_cast<unsigned>(std::min(nw, plan.items()));
+    return plan;
+}
+
 namespace detail {
 
 /// Blocks owned by worker `w` of `nw`: the contiguous range
@@ -96,7 +158,7 @@ namespace detail {
 /// calling thread (slot 0) covers its own range plus everything from w's
 /// range onward. Join-before-return holds on every path.
 template <typename F>
-void run_pool(unsigned nw, std::size_t nblocks, F&& fn) {
+void run_pool(unsigned nw, std::size_t nblocks, F&& fn, bool nominal_env) {
     std::vector<std::thread> workers;
     workers.reserve(nw - 1);
     unsigned spawned = nw;  // workers with a live owner, caller included
@@ -107,7 +169,9 @@ void run_pool(unsigned nw, std::size_t nblocks, F&& fn) {
                     std::make_error_code(std::errc::resource_unavailable_try_again),
                     "mf::guard injected thread-spawn fault");
             }
-            workers.emplace_back([&fn, w, nw, nblocks] {
+            workers.emplace_back([&fn, w, nw, nblocks, nominal_env] {
+                std::optional<guard::ScopedFpEnv> env;
+                if (nominal_env) env.emplace();
                 const std::size_t lo = nblocks * w / nw;
                 const std::size_t hi = nblocks * (w + 1) / nw;
                 for (std::size_t blk = lo; blk < hi; ++blk) fn(blk, w);
@@ -135,18 +199,19 @@ void run_pool(unsigned nw, std::size_t nblocks, F&& fn) {
 /// per worker within one call, so fn can index pre-allocated per-worker
 /// scratch. Serializes when nested inside an existing OpenMP parallel
 /// region; absorbs thread-spawn failure by running orphaned blocks on the
-/// calling thread (see run_pool).
+/// calling thread (see run_pool). With `nominal_env`, every worker but the
+/// calling thread runs its blocks under guard::ScopedFpEnv.
 template <typename F>
 void parallel_blocks_slots(std::size_t nblocks, F&& fn,
                            ThreadMode mode = ThreadMode::automatic,
-                           unsigned max_threads = 0) {
+                           unsigned max_threads = 0, bool nominal_env = false) {
     const unsigned nw = planned_workers(nblocks, mode, max_threads);
     if (nw <= 1) {
         for (std::size_t blk = 0; blk < nblocks; ++blk) fn(blk, 0u);
         return;
     }
     if (mode == ThreadMode::pool) {
-        detail::run_pool(nw, nblocks, std::forward<F>(fn));
+        detail::run_pool(nw, nblocks, std::forward<F>(fn), nominal_env);
         return;
     }
 #if defined(_OPENMP)
@@ -156,12 +221,14 @@ void parallel_blocks_slots(std::size_t nblocks, F&& fn,
         // result does not depend on it -- only the work assignment does.
         const auto team = static_cast<unsigned>(omp_get_num_threads());
         const auto w = static_cast<unsigned>(omp_get_thread_num());
+        std::optional<guard::ScopedFpEnv> env;
+        if (nominal_env && w != 0) env.emplace();
         const std::size_t lo = nblocks * w / team;
         const std::size_t hi = nblocks * (w + 1) / team;
         for (std::size_t blk = lo; blk < hi; ++blk) fn(blk, w);
     }
 #else
-    detail::run_pool(nw, nblocks, std::forward<F>(fn));
+    detail::run_pool(nw, nblocks, std::forward<F>(fn), nominal_env);
 #endif
 }
 

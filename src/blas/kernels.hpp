@@ -20,19 +20,19 @@
 // pack path for free.
 //
 // Parallelization matches the paper: ij loop ordering for GEMV, ikj loop
-// ordering for GEMM, with OpenMP over the outer loop when enabled. Every
-// parallel region is guarded by detail::in_parallel() so that kernels called
-// from inside an existing parallel region (e.g. the tiled GEMM driver in
-// simd/tiling.hpp, or a user's own omp loop) run serially instead of
-// oversubscribing with nested teams. (In this reproduction environment only
-// one core is available, so OpenMP paths are compiled and correct but add
-// no speedup; see EXPERIMENTS.md.)
+// ordering for the generic GEMM, with OpenMP over the outer loop when
+// enabled; MultiFloat GEMM runs the packed engine (engine/gemm_packed.hpp)
+// instead. Every parallel region is guarded by engine::in_parallel() so that
+// kernels called from inside an existing parallel region (e.g. the tiled
+// GEMM in simd/tiling.hpp, or a user's own omp loop) run serially
+// instead of oversubscribing with nested teams.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
 // MF_BLAS_REQUIRE shape/stride validation (compiled in under the
 // MF_BOUNDS_CHECK CMake option only).
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -41,6 +41,7 @@
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
 #include "../simd/dispatch.hpp"
+#include "engine/gemm_packed.hpp"
 #include "views.hpp"
 
 #if defined(_OPENMP)
@@ -50,16 +51,6 @@
 namespace mf::blas {
 
 namespace detail {
-
-/// True when already executing inside an OpenMP parallel region: used in
-/// every `if` clause below to suppress nested parallelism.
-inline bool in_parallel() noexcept {
-#if defined(_OPENMP)
-    return omp_in_parallel() != 0;
-#else
-    return false;
-#endif
-}
 
 /// Is V a MultiFloat over a *scalar* base type (the pack-kernel fast path)?
 template <typename V>
@@ -81,7 +72,7 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
         constexpr std::size_t chunk = 2048;
         const std::size_t nchunks = (n + chunk - 1) / chunk;
 #pragma omp parallel for schedule(static) \
-    if (n > 4096 && !detail::in_parallel())
+    if (n > 4096 && !engine::in_parallel())
         for (std::size_t c = 0; c < nchunks; ++c) {
             const std::size_t lo = c * chunk;
             const std::size_t hi = (lo + chunk < n) ? lo + chunk : n;
@@ -89,7 +80,7 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
         }
     } else {
 #pragma omp parallel for schedule(static) \
-    if (n > 4096 && !detail::in_parallel())
+    if (n > 4096 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             y[i] += alpha * x[i];
         }
@@ -112,7 +103,7 @@ template <typename V>
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
         V acc{};
-#pragma omp parallel if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel if (n > 4096 && !engine::in_parallel())
         {
 #if defined(_OPENMP)
             const std::size_t nt = static_cast<std::size_t>(omp_get_num_threads());
@@ -131,7 +122,7 @@ template <typename V>
     } else {
         constexpr std::size_t K = 8;
         V acc{};
-#pragma omp parallel if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel if (n > 4096 && !engine::in_parallel())
         {
             V part[K]{};
 #pragma omp for schedule(static) nowait
@@ -165,13 +156,13 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     if constexpr (detail::is_multifloat_v<V>) {
         using T = typename V::value_type;
         constexpr int N = V::num_limbs;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
         }
     } else {
         constexpr std::size_t K = 4;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
         for (std::size_t i = 0; i < n; ++i) {
             const V* arow = a.row(i);
             V part[K]{};
@@ -195,7 +186,7 @@ template <typename V>
 void scal(const V& alpha, VectorView<V> x) {
     MF_GUARD_SENTINEL("blas.scal");
     const std::size_t n = x.size;
-#pragma omp parallel for schedule(static) if (n > 4096 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 4096 && !engine::in_parallel())
     for (std::size_t i = 0; i < n; ++i) {
         x[i] *= alpha;
     }
@@ -240,7 +231,7 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.ger", "a.stride >= a.cols");
     const std::size_t n = x.size;
     const std::size_t m = y.size;
-#pragma omp parallel for schedule(static) if (n > 64 && !detail::in_parallel())
+#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
     for (std::size_t i = 0; i < n; ++i) {
         const V ax = alpha * x[i];
         if constexpr (detail::is_multifloat_v<V>) {
@@ -256,10 +247,20 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     }
 }
 
-/// C <- A B  (row-major; C is n x m, A is n x k, B is k x m; ikj loop order)
+/// C <- A B  (row-major; C is n x m, A is n x k, B is k x m)
+///
+/// MultiFloat views run the packed engine (engine/gemm_packed.hpp): C is
+/// zeroed, then the packed engine accumulates C += A B straight from
+/// the interleaved views, parallel over row blocks and micro-panel columns.
+/// Every element still receives its k updates add(mul(a, b), c) in
+/// kk-ascending order, so the result is bit-identical to gemm_packed on the
+/// same data in planar form. Other number types run the ikj loop, so every
+/// library under evaluation executes identical code.
 template <typename V>
 void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
-    MF_GUARD_SENTINEL("blas.gemm");
+    // The one sentinel of the call: the engine entry below is unguarded and
+    // learns from `enforced()` whether its workers must enforce too.
+    const guard::Sentinel sentinel{"blas.gemm"};
     MF_BLAS_REQUIRE(a.rows == c.rows, "blas.gemm", "a.rows == c.rows");
     MF_BLAS_REQUIRE(a.cols == b.rows, "blas.gemm", "a.cols == b.rows");
     MF_BLAS_REQUIRE(b.cols == c.cols, "blas.gemm", "b.cols == c.cols");
@@ -269,18 +270,18 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
     const std::size_t n = c.rows;
     const std::size_t m = c.cols;
     const std::size_t k = a.cols;
-#pragma omp parallel for schedule(static) if (n > 16 && !detail::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        V* crow = c.row(i);
-        const V* arow = a.row(i);
-        for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const V aik = arow[kk];
-            if constexpr (detail::is_multifloat_v<V>) {
-                using T = typename V::value_type;
-                constexpr int N = V::num_limbs;
-                simd::axpy_aos<T, N>(aik, b.row(kk), crow, m);
-            } else {
+    if constexpr (detail::is_multifloat_v<V>) {
+        for (std::size_t i = 0; i < n; ++i) std::fill_n(c.row(i), m, V{});
+        engine::gemm_accumulate(engine::access(a), engine::access(b), engine::access(c),
+                                GemmConfig{}, sentinel.enforced());
+    } else {
+#pragma omp parallel for schedule(static) if (n > 16 && !engine::in_parallel())
+        for (std::size_t i = 0; i < n; ++i) {
+            V* crow = c.row(i);
+            const V* arow = a.row(i);
+            for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const V aik = arow[kk];
                 const V* brow = b.row(kk);
                 for (std::size_t j = 0; j < m; ++j) {
                     crow[j] += aik * brow[j];

@@ -14,7 +14,7 @@
 //                           the sentinel's exit probe must detect it
 //                           (when="exit") -- detection-only: work done after
 //                           the flip legitimately rounds differently
-//   alloc[k]                the k-th panel reservation throws bad_alloc;
+//   alloc[0]                the pack-scratch reservation throws bad_alloc;
 //                           must degrade to the sequential unpacked path
 //                           (mf_guard_degraded_total{path="alloc"}),
 //                           bit-identical
@@ -161,16 +161,13 @@ namespace detail {
     }
 
     if (opt.alloc) {
-        // Serial: reservation order is B panel (0), slot-0 A block (1).
-        for (long nth : {0L, 1L}) {
-            run_case("alloc[" + std::to_string(nth) + "]-serial",
-                     "path=\"alloc\"", /*require_identical=*/true, serial,
-                     [&] { guard::inject::arm_alloc(nth); });
-        }
-        // Pool: B panel (0) then one A block per planned slot (1..4); fail
-        // the last one so every earlier reservation has already succeeded.
-        run_case("alloc[4]-pool", "path=\"alloc\"", /*require_identical=*/true,
-                 pool, [&] { guard::inject::arm_alloc(4); });
+        // The engine reserves all its pack scratch (the B panel and one A
+        // block per planned worker slot) in one allocation, so alloc[0] is
+        // the only reservation point, serial or pooled.
+        run_case("alloc[0]-serial", "path=\"alloc\"", /*require_identical=*/true,
+                 serial, [&] { guard::inject::arm_alloc(0); });
+        run_case("alloc[0]-pool", "path=\"alloc\"", /*require_identical=*/true, pool,
+                 [&] { guard::inject::arm_alloc(0); });
     }
 
     if (opt.thread) {

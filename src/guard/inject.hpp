@@ -4,8 +4,9 @@
 // Three injectable fault classes, each a countdown armed by a test harness
 // (or `mf_fuzz --inject ...`):
 //
-//   alloc  -- the Nth AlignedBuffer allocation throws std::bad_alloc, as a
-//             real aligned `operator new` would under memory pressure;
+//   alloc  -- the Nth pack-panel reservation throws std::bad_alloc, as a
+//             real aligned `operator new` would under memory pressure
+//             (AlignedBuffer::ensure counts one per panel it allocates);
 //   spawn  -- the Nth std::thread construction in engine::run_pool throws
 //             std::system_error(resource_unavailable_try_again), as a real
 //             spawn does at the pthread limit;
@@ -52,7 +53,7 @@ inline bool countdown_hit(std::atomic<long>& c) noexcept {
 
 }  // namespace detail
 
-/// Arm: the Nth (0-based) AlignedBuffer allocation after this call fails.
+/// Arm: the Nth (0-based) pack-panel reservation after this call fails.
 inline void arm_alloc(long nth) noexcept {
     detail::state().alloc_countdown.store(nth, std::memory_order_relaxed);
 }
@@ -78,7 +79,7 @@ inline void reset() noexcept {
     detail::state().env_mask.store(0, std::memory_order_relaxed);
 }
 
-/// Hook: called by AlignedBuffer::ensure before allocating.
+/// Hook: called by AlignedBuffer::ensure, once per panel, before allocating.
 [[nodiscard]] inline bool should_fail_alloc() noexcept {
     return detail::countdown_hit(detail::state().alloc_countdown);
 }

@@ -22,8 +22,9 @@
 // (tests/blas_views_test.cpp regression-tests both).
 //
 // Nested parallelism: the omp parallel-for is suppressed when already inside
-// a parallel region (same guard discipline as mf::blas; see kernels.hpp
-// there), so composing this driver with parallel callers cannot oversubscribe.
+// a parallel region (blas::engine::in_parallel, the guard every parallel
+// region in the library uses), so composing this GEMM with parallel
+// callers cannot oversubscribe.
 //
 // For large problems prefer mf::blas::gemm_packed (blas/engine/), which adds
 // BLIS-style packing and a register-blocked micro-kernel on top of the same
@@ -31,25 +32,12 @@
 
 #include <cstddef>
 
+#include "../blas/engine/threading.hpp"
 #include "../blas/planar.hpp"
 #include "../telemetry/events.hpp"
 #include "dispatch.hpp"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 namespace mf::simd {
-
-namespace detail {
-inline bool in_parallel() noexcept {
-#if defined(_OPENMP)
-    return omp_in_parallel() != 0;
-#else
-    return false;
-#endif
-}
-}  // namespace detail
 
 /// Tile shape: rows x columns of one C tile, and the k-block length.
 /// Defaults keep one tile's working set (a-block + b-block + c-tile) inside
@@ -76,7 +64,7 @@ void gemm_tiled(planar::ConstMatrixView<T, N> a, planar::ConstMatrixView<T, N> b
     // not one per fma sweep).
     with_active_width<T>([&](auto w) {
 #pragma omp parallel for schedule(static) \
-    if (n_itiles > 1 && !mf::simd::detail::in_parallel())
+    if (n_itiles > 1 && !blas::engine::in_parallel())
         for (std::size_t it = 0; it < n_itiles; ++it) {
             // One span per row-tile per worker thread: the chrome trace of
             // these is the GEMM's load-imbalance picture, and the latency

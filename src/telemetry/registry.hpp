@@ -11,10 +11,15 @@
 //
 // Registration (name -> id) is the cold path: it takes a mutex and is done
 // once per call site (see events.hpp, which caches the id in a per-site
-// static). Shards are allocated on a thread's first metric touch, owned by
-// the registry, and deliberately never freed: a thread that exits leaves its
-// totals behind for every later snapshot, which is exactly the "merged on
-// flush" semantics the exporters want.
+// static). Shards are owned by the registry and never freed: a thread that
+// exits leaves its totals behind for every later snapshot, which is exactly
+// the "merged on flush" semantics the exporters want. An exiting thread
+// hands its shard back, and the next thread to touch a metric adopts it and
+// keeps adding to the same cells, so the shard count tracks the most
+// threads alive at once, not every thread ever started (an OpenMP runtime
+// that retires and respawns pool threads would otherwise grow the registry
+// by one shard per respawn). An adopted shard keeps its `tid`; the two
+// threads sharing it never overlap in time.
 //
 // This header has no dependency on the MF_TELEMETRY compile mode: the
 // registry API is always available (tools and exporters link against it
@@ -256,25 +261,63 @@ private:
                   [](const auto& a, const auto& b) { return a.name < b.name; });
     }
 
-    /// The calling thread's shard, created and registered on first touch.
-    ThreadShard& tls() {
-        thread_local ThreadShard* shard = nullptr;
-        if (shard == nullptr) {
-            std::lock_guard<std::mutex> lock(mu_);
-            shards_.push_back(std::make_unique<ThreadShard>());
-            shards_.back()->tid = static_cast<int>(shards_.size()) - 1;
-            shard = shards_.back().get();
+    /// Hands the calling thread's shard back when the thread exits. The two
+    /// thread-locals it clears are trivially destructible, so they stay
+    /// readable after the lease is gone: a metric touched later in thread
+    /// teardown takes a shard for good instead of re-entering a destroyed
+    /// lease.
+    struct ShardLease {
+        ~ShardLease() {
+            if (tls_shard != nullptr) Registry::instance().release(tls_shard);
+            tls_shard = nullptr;
+            tls_released = true;
         }
-        return *shard;
+    };
+    // constinit: the hot path reads tls_shard directly, with no
+    // thread-local init wrapper.
+    static constinit thread_local ThreadShard* tls_shard;
+    static constinit thread_local bool tls_released;
+
+    /// The calling thread's shard: on first touch, a shard an exited thread
+    /// handed back, else a new one. The mutex orders the exited thread's
+    /// last cell stores before the adopter's first loads.
+    ThreadShard& tls() {
+        if (tls_shard == nullptr) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                if (!free_.empty()) {
+                    tls_shard = free_.back();
+                    free_.pop_back();
+                } else {
+                    shards_.push_back(std::make_unique<ThreadShard>());
+                    shards_.back()->tid = static_cast<int>(shards_.size()) - 1;
+                    tls_shard = shards_.back().get();
+                }
+            }
+            if (!tls_released) {
+                thread_local ShardLease lease;
+                (void)lease;
+            }
+        }
+        return *tls_shard;
+    }
+
+    void release(ThreadShard* shard) {
+        std::lock_guard<std::mutex> lock(mu_);
+        free_.push_back(shard);
     }
 
     std::mutex mu_;
     std::vector<std::string> counter_names_;
     std::vector<std::string> histogram_names_;
     std::vector<std::unique_ptr<ThreadShard>> shards_;
+    std::vector<ThreadShard*> free_;  ///< shards of exited threads
     std::vector<TraceEvent> injected_spans_;
     std::atomic<bool> trace_on_{false};
     std::chrono::steady_clock::time_point epoch_;
 };
+
+inline constinit thread_local Registry::ThreadShard* Registry::tls_shard = nullptr;
+inline constinit thread_local bool Registry::tls_released = false;
 
 }  // namespace mf::telemetry

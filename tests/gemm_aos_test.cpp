@@ -1,0 +1,285 @@
+// AoS blas::gemm on the packed engine (DESIGN.md §11).
+//
+// blas::gemm over interleaved MultiFloat views zeroes C and runs the one
+// packed engine (engine::gemm_accumulate) through the AoS layout accessor.
+// These tests pin its contract against a scalar reference that applies
+// every update c = add(mul(a, b), c) in kk-ascending order:
+//
+//   * bit-identical for every compiled backend x {1, 2, 4} workers x
+//     {OpenMP-automatic, std::thread pool};
+//   * on square, skinny (k = 32, strided sub-block views as the blocked LU
+//     uses), fewer-rows-than-mc (forces the jr column split) and 1 x m /
+//     n x 1 edge shapes, for Float64x2/x3/x4 and Float32x2;
+//   * degrading to the unpacked path bit-identically when pack scratch
+//     cannot be allocated;
+//   * the shape-derived ic/jr partition keeps large products on the ic-only
+//     plan and splits small ones across workers.
+//
+// Suites are named GemmPacked* so the scalar-forced CI identity job runs
+// them alongside the planar engine's tests.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "blas/blas.hpp"
+#include "check/differ.hpp"
+#include "check/generators.hpp"
+#include "guard/guard.hpp"
+#include "telemetry/registry.hpp"
+
+namespace {
+
+using namespace mf;
+using blas::engine::ThreadMode;
+
+template <typename T, int N>
+bool same_bits(const MultiFloat<T, N>& x, const MultiFloat<T, N>& y) {
+    for (int p = 0; p < N; ++p) {
+        if (!check::detail::same_bits(x.limb[p], y.limb[p])) return false;
+    }
+    return true;
+}
+
+/// An n x m block at (row0, col0) of a larger row-major parent whose stride
+/// exceeds the block's width -- the shape of every LU sub-block operand.
+template <typename V>
+struct Block {
+    std::vector<V> parent;
+    std::size_t rows, cols, stride, offset;
+
+    Block(std::size_t r, std::size_t c, std::size_t pad)
+        : parent((r + pad) * (c + pad)), rows(r), cols(c), stride(c + pad),
+          offset(pad / 2 * (c + pad) + pad / 2) {}
+
+    blas::MatrixView<V> view() { return {parent.data() + offset, rows, cols, stride}; }
+    blas::ConstMatrixView<V> cview() const {
+        return {parent.data() + offset, rows, cols, stride};
+    }
+};
+
+template <typename T, int N>
+void fill(std::mt19937_64& rng, std::vector<MultiFloat<T, N>>& v) {
+    const check::GenConfig cfg;
+    for (auto& x : v) x = check::gen<T, N>(rng, check::Category::ladder, cfg);
+}
+
+/// C = A B, one scalar kk-ascending add(mul(a, b), c) chain per element.
+template <typename T, int N>
+void reference_gemm(blas::ConstMatrixView<MultiFloat<T, N>> a,
+                    blas::ConstMatrixView<MultiFloat<T, N>> b,
+                    blas::MatrixView<MultiFloat<T, N>> c) {
+    for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t j = 0; j < c.cols; ++j) {
+            MultiFloat<T, N> acc{};
+            for (std::size_t kk = 0; kk < a.cols; ++kk) {
+                acc = mf::add(mf::mul(a(i, kk), b(kk, j)), acc);
+            }
+            c(i, j) = acc;
+        }
+    }
+}
+
+struct Shape {
+    const char* name;
+    std::size_t n, k, m, pad;
+};
+
+// Square; LU-like skinny k = 32 on strided sub-blocks; 40 rows, one or two
+// mc row blocks depending on the backend, so 4 workers (and 2 on AVX-512)
+// need the jr split; single-row and single-column edges.
+constexpr Shape kShapes[] = {
+    {"square", 37, 37, 37, 0},
+    {"skinny-strided", 96, 32, 96, 5},
+    {"rows-below-mc", 40, 32, 160, 3},
+    {"1xm", 1, 19, 45, 2},
+    {"nx1", 45, 19, 1, 2},
+};
+
+/// Every backend x {1, 2, 4} workers x {automatic, pool} over every shape:
+/// the engine entry blas::gemm uses, and blas::gemm itself per backend.
+template <typename T, int N>
+void expect_aos_gemm_matches_reference(std::uint64_t seed) {
+    using V = MultiFloat<T, N>;
+    check::detail::BackendGuard restore;
+    for (const Shape& s : kShapes) {
+        std::mt19937_64 rng(seed);
+        Block<V> a(s.n, s.k, s.pad), b(s.k, s.m, s.pad);
+        fill<T, N>(rng, a.parent);
+        fill<T, N>(rng, b.parent);
+        Block<V> want(s.n, s.m, s.pad);
+        reference_gemm<T, N>(a.cview(), b.cview(), want.view());
+
+        const auto expect_same = [&](Block<V>& got, const std::string& label) {
+            std::size_t bad = 0;
+            for (std::size_t i = 0; i < got.parent.size(); ++i) {
+                if (!same_bits(got.parent[i], want.parent[i])) ++bad;
+            }
+            EXPECT_EQ(bad, 0u) << s.name << " " << label;
+        };
+        for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
+                                 simd::Backend::avx2, simd::Backend::avx512,
+                                 simd::Backend::neon}) {
+            if (!simd::backend_available(bk)) continue;
+            simd::set_backend(bk);
+            const std::string tag = simd::backend_name(bk);
+            {
+                Block<V> c(s.n, s.m, s.pad);
+                blas::gemm(a.cview(), b.cview(), c.view());
+                expect_same(c, tag + "/blas::gemm");
+            }
+            for (unsigned t : {1u, 2u, 4u}) {
+                for (ThreadMode mode : {ThreadMode::automatic, ThreadMode::pool}) {
+                    blas::GemmConfig cfg;
+                    cfg.threads = mode;
+                    cfg.max_threads = t;
+                    Block<V> c(s.n, s.m, s.pad);
+                    blas::engine::gemm_accumulate(blas::engine::access(a.cview()),
+                                                  blas::engine::access(b.cview()),
+                                                  blas::engine::access(c.view()), cfg);
+                    expect_same(c, tag + "/threads=" + std::to_string(t) +
+                                       (mode == ThreadMode::pool ? "/pool" : "/auto"));
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmPackedAos, BitIdenticalToScalarReferenceFloat64x2) {
+    expect_aos_gemm_matches_reference<double, 2>(101);
+}
+
+TEST(GemmPackedAos, BitIdenticalToScalarReferenceFloat64x3) {
+    expect_aos_gemm_matches_reference<double, 3>(102);
+}
+
+TEST(GemmPackedAos, BitIdenticalToScalarReferenceFloat64x4) {
+    expect_aos_gemm_matches_reference<double, 4>(103);
+}
+
+TEST(GemmPackedAos, BitIdenticalToScalarReferenceFloat32x2) {
+    expect_aos_gemm_matches_reference<float, 2>(104);
+}
+
+// blas::gemm overwrites C (including with k = 0) and never writes outside
+// the C view's rows x cols, whatever the stride.
+TEST(GemmPackedAos, OverwritesOnlyTheCView) {
+    using V = MultiFloat<double, 2>;
+    const V marker(7.25);
+    for (std::size_t k : {0u, 3u}) {
+        Block<V> a(6, k, 4), b(k, 5, 4), c(6, 5, 4);
+        std::mt19937_64 rng(5);
+        fill<double, 2>(rng, a.parent);
+        fill<double, 2>(rng, b.parent);
+        for (V& x : c.parent) x = marker;
+        Block<V> want(6, 5, 4);
+        for (V& x : want.parent) x = marker;
+        reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+        blas::gemm(a.cview(), b.cview(), c.view());
+        for (std::size_t i = 0; i < c.parent.size(); ++i) {
+            EXPECT_TRUE(same_bits(c.parent[i], want.parent[i])) << "k=" << k << " @" << i;
+        }
+    }
+}
+
+// A failed pack-scratch reservation (one allocation holding the B panel and
+// every worker slot's A block) degrades the AoS route to the unpacked path
+// bit-identically.
+TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
+    using V = MultiFloat<double, 2>;
+    constexpr std::size_t n = 40, k = 32, m = 72;
+    Block<V> a(n, k, 3), b(k, m, 3), want(n, m, 3);
+    std::mt19937_64 rng(11);
+    fill<double, 2>(rng, a.parent);
+    fill<double, 2>(rng, b.parent);
+    reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+
+    const auto degraded = [] {
+        std::uint64_t total = 0;
+        for (const auto& c : telemetry::Registry::instance().snapshot().counters) {
+            if (c.name.find("mf_guard_degraded_total{path=\"alloc\"}") != std::string::npos) {
+                total += c.value;
+            }
+        }
+        return total;
+    };
+    Block<V> c(n, m, 3);
+    const std::uint64_t before = degraded();
+    guard::inject::arm_alloc(0);
+    ASSERT_NO_THROW(blas::gemm(a.cview(), b.cview(), c.view()));
+    guard::inject::reset();
+#if MF_TELEMETRY_ENABLED
+    EXPECT_EQ(degraded() - before, 1u);
+#else
+    (void)before;
+#endif
+    for (std::size_t i = 0; i < c.parent.size(); ++i) {
+        ASSERT_TRUE(same_bits(c.parent[i], want.parent[i])) << "@" << i;
+    }
+}
+
+// --- shape-derived partition ----------------------------------------------
+
+TEST(GemmPackedPlan, RowBlocksThatFillTheWorkersKeepTheIcOnlyPlan) {
+    // gemm_large: n = 512 in mc = 128 blocks -> 4 row blocks for 4 workers.
+    const auto plan = blas::engine::plan_partition(4, 85, 128 * 85, 4 * 16 * 96,
+                                                   ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.col_splits, 1u);
+    EXPECT_EQ(plan.workers, 4u);
+    EXPECT_EQ(plan.items(), 4u);
+}
+
+TEST(GemmPackedPlan, FewRowBlocksSplitMicroPanelColumns) {
+    using blas::engine::plan_partition;
+    // One row block, 14 micro-panels: four column ranges, one per worker.
+    auto plan = plan_partition(1, 14, 56 * 14, 4 * 16 * 32, ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.col_splits, 4u);
+    EXPECT_EQ(plan.workers, 4u);
+    // Two row blocks (LU n = 224): two ranges each, four balanced items.
+    plan = plan_partition(2, 14, 56 * 14, 4 * 16 * 32, ThreadMode::pool, 4);
+    EXPECT_EQ(plan.col_splits, 2u);
+    EXPECT_EQ(plan.items(), 4u);
+    EXPECT_EQ(plan.workers, 4u);
+    // Three row blocks: item count a multiple of the workers.
+    plan = plan_partition(3, 14, 84 * 14, 4 * 16 * 32, ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.items() % plan.workers, 0u);
+    EXPECT_EQ(plan.workers, 4u);
+}
+
+TEST(GemmPackedPlan, NeverForksForLessWorkThanTheForkCosts) {
+    using blas::engine::kForkMadds;
+    using blas::engine::plan_partition;
+    // 32 x 32 x 32: 16 micro-tiles of 2048 madds -> two workers' worth.
+    auto plan = plan_partition(1, 2, 16, 4 * 16 * 32, ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.workers, 2u);
+    EXPECT_GE(16 / plan.workers * 4 * 16 * 32, kForkMadds);
+    // Too little work for a second worker: stays on the caller.
+    plan = plan_partition(1, 1, 2, 4 * 16 * 32, ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.workers, 1u);
+    // Column splits never exceed the micro-panels available.
+    plan = plan_partition(1, 2, 1000, 4 * 16 * 512, ThreadMode::automatic, 4);
+    EXPECT_EQ(plan.col_splits, 2u);
+    EXPECT_EQ(plan.workers, 2u);
+}
+
+TEST(GemmPackedPlan, SerialModeAndNestedRegionsUseOneWorker) {
+    using blas::engine::plan_partition;
+    EXPECT_EQ(plan_partition(1, 14, 784, 2048, ThreadMode::serial, 4).workers, 1u);
+    EXPECT_EQ(plan_partition(1, 14, 784, 2048, ThreadMode::automatic, 1).workers, 1u);
+#if defined(_OPENMP)
+    unsigned nested = 0;
+#pragma omp parallel num_threads(2)
+    {
+#pragma omp single
+        nested = plan_partition(1, 14, 784, 2048, ThreadMode::automatic, 4).workers;
+    }
+    EXPECT_EQ(nested, 1u);
+#endif
+}
+
+}  // namespace

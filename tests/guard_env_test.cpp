@@ -16,10 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <cfenv>
 #include <cstdint>
 #include <random>
 #include <vector>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 #include "blas/blas.hpp"
 #include "check/generators.hpp"
@@ -261,6 +267,76 @@ TEST_F(GuardSentinelTest, EnforcedBlasGemmIsBitIdenticalToCleanRun) {
     for (std::size_t i = 0; i < n * m; ++i) {
         ASSERT_TRUE(same_bits(c_clean[i], c_hostile[i])) << "element " << i;
     }
+}
+
+// Under enforce the guarantee covers every engine worker, not just the
+// calling thread: OpenMP keeps its worker threads between regions, and a
+// worker parked in round-toward-zero must not leak into an enforced
+// blas::gemm whose work is split across the team.
+TEST_F(GuardSentinelTest, EnforcedBlasGemmRepairsParkedWorkerEnv) {
+#if !defined(_OPENMP)
+    GTEST_SKIP() << "needs OpenMP's persistent worker threads";
+#else
+    using V = MultiFloat<double, 2>;
+    // Fewer row blocks than workers: the engine splits micro-panel columns
+    // across the team.
+    constexpr std::size_t n = 40, k = 32, m = 160;
+    constexpr int team = 4;
+    check::GenConfig cfg;
+    std::mt19937_64 rng(13);
+    std::vector<V> a(n * k), b(k * m), c_clean(n * m), c_parked(n * m);
+    for (auto& v : a) v = check::gen<double, 2>(rng, check::Category::ladder, cfg);
+    for (auto& v : b) v = check::gen<double, 2>(rng, check::Category::ladder, cfg);
+    const auto run = [&](std::vector<V>& c) {
+        blas::gemm(blas::view(std::as_const(a), n, k), blas::view(std::as_const(b), k, m),
+                   blas::view(c, n, m));
+    };
+    const auto park_workers = [](int mode) {
+#pragma omp parallel num_threads(team)
+        if (omp_get_thread_num() != 0) std::fesetround(mode);
+    };
+    const int saved_threads = omp_get_max_threads();
+    omp_set_num_threads(team);
+    guard::FpEnvSaver restore;
+    {
+        guard::ScopedFpEnv clean;
+        park_workers(FE_TONEAREST);
+        run(c_clean);
+    }
+    park_workers(FE_TOWARDZERO);
+    std::atomic<int> parked{0};
+#pragma omp parallel num_threads(team)
+    if (omp_get_thread_num() != 0 && std::fegetround() == FE_TOWARDZERO) ++parked;
+    guard::set_policy(guard::Policy::enforce);
+    run(c_parked);
+    park_workers(FE_TONEAREST);
+    omp_set_num_threads(saved_threads);
+    ASSERT_GT(parked.load(), 0) << "no worker kept the parked rounding mode";
+    for (std::size_t i = 0; i < n * m; ++i) {
+        ASSERT_TRUE(same_bits(c_clean[i], c_parked[i])) << "element " << i;
+    }
+#endif
+}
+
+// The std::thread pool substrate honours the same request: workers spawned
+// from a hostile caller inherit its environment unless the engine asks them
+// to install the nominal one.
+TEST_F(GuardSentinelTest, PoolWorkersInstallNominalEnvOnRequest) {
+    guard::FpEnvSaver restore;
+    guard::ScopedFpPerturb hostile(Perturb::round_toward_zero);
+    std::atomic<int> workers{0}, hostile_workers{0};
+    blas::engine::parallel_blocks_slots(
+        8,
+        [&](std::size_t, unsigned slot) {
+            if (slot == 0) return;
+            ++workers;
+            if (!guard::env_nominal(guard::fp_env_snapshot())) ++hostile_workers;
+        },
+        blas::engine::ThreadMode::pool, /*max_threads=*/4, /*nominal_env=*/true);
+    EXPECT_GT(workers.load(), 0);
+    EXPECT_EQ(hostile_workers.load(), 0);
+    // The caller's own environment is the sentinel's business, not the pool's.
+    EXPECT_EQ(guard::fp_env_snapshot().rounding, Rounding::toward_zero);
 }
 
 }  // namespace

@@ -69,6 +69,32 @@ TEST(TelemetryRegistry, ConcurrentShardedIncrementsMergeExactly) {
     EXPECT_EQ(c->value, kThreads * kPerThread);
 }
 
+TEST(TelemetryRegistry, ExitedThreadShardIsAdoptedNotLeaked) {
+    reg().reset();
+    const CounterId id = reg().counter("test_adopted_total");
+    const int caller_tid = reg().thread_id();  // the caller holds its shard
+    // Threads that never overlap: each adopts the shard the previous one
+    // handed back on exit (same tid), so the shard count stays flat, and
+    // every thread's counts still merge.
+    constexpr int kRounds = 8;
+    std::vector<int> tids;
+    for (int r = 0; r < kRounds; ++r) {
+        int tid = -1;
+        std::thread t([id, &tid] {
+            reg().add(id, 3);
+            tid = reg().thread_id();
+        });
+        t.join();
+        tids.push_back(tid);
+    }
+    for (int r = 1; r < kRounds; ++r) EXPECT_EQ(tids[r], tids[0]) << "round " << r;
+    EXPECT_NE(tids[0], caller_tid) << "a live thread's shard is never lent";
+    const Snapshot snap = reg().snapshot();
+    const CounterSnap* c = find_counter(snap, "test_adopted_total");
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->value, 3u * kRounds);
+}
+
 TEST(TelemetryRegistry, CounterIdIsStableAndAddNIsExact) {
     reg().reset();
     const CounterId a = reg().counter("test_stable_total");

@@ -3,12 +3,13 @@
 // Two modes:
 //
 //   mf_top [--n SIZE] [--reps R] [--metrics PATH] [--trace PATH]
-//     Run a traced double x 4 tiled GEMM (the flagship multicore x SIMD
-//     workload), then print a ranked counter table, write the Prometheus
-//     exposition (--metrics, "-" = stdout, default) and the chrome://tracing
-//     span JSON (--trace, default mf_top_trace.json). Load the trace into
-//     chrome://tracing or https://ui.perfetto.dev to see the per-thread
-//     row-tile timeline.
+//     Run a traced double x 4 blas::gemm -- the public AoS entry point,
+//     which runs the default packed engine -- then print a ranked counter
+//     table, write the Prometheus exposition (--metrics, "-" = stdout,
+//     default) and the chrome://tracing span JSON (--trace, default
+//     mf_top_trace.json). Load the trace into chrome://tracing or
+//     https://ui.perfetto.dev to see the per-worker gemm_macro_panel
+//     timeline.
 //
 //   mf_top --from FILE
 //     No workload: parse an exposition file previously dumped by another
@@ -23,11 +24,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "blas/planar.hpp"
+#include "blas/blas.hpp"
 #include "simd/backend.hpp"
-#include "simd/tiling.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
 
     // Deterministic well-scaled operands: no special values, every renorm
     // and dispatch counter below reflects the workload, not input luck.
-    planar::Vector<double, 4> a(n * n), b(n * n), c(n * n);
+    using V = MultiFloat<double, 4>;
+    std::vector<V> a(n * n), b(n * n), c(n * n);
     std::uint64_t s = 0x9e3779b97f4a7c15ull;
     const auto next = [&s] {
         s ^= s << 13;
@@ -131,17 +133,17 @@ int main(int argc, char** argv) {
         return static_cast<double>(s >> 11) / 9007199254740992.0 - 0.5;
     };
     for (std::size_t i = 0; i < n * n; ++i) {
-        a.set(i, MultiFloat<double, 4>(next()));
-        b.set(i, MultiFloat<double, 4>(next()));
+        a[i] = V(next());
+        b[i] = V(next());
     }
     for (int r = 0; r < reps; ++r) {
-        simd::gemm_tiled(planar::matrix_view(a, n, n), planar::matrix_view(b, n, n),
-                         planar::matrix_view(c, n, n));
+        blas::gemm(blas::view(std::as_const(a), n, n), blas::view(std::as_const(b), n, n),
+                   blas::view(c, n, n));
     }
     // Fold the result into a checksum so the whole computation is observable
     // (and undead-code-eliminable).
     double checksum = 0;
-    for (std::size_t i = 0; i < n * n; ++i) checksum += c.get(i).limb[0];
+    for (const V& x : c) checksum += x.limb[0];
 
     const telemetry::BuildInfo info = telemetry::build_info();
     const telemetry::Snapshot snap = telemetry::Registry::instance().snapshot();
