@@ -1,19 +1,17 @@
-// GEMM engine comparison: the untiled ikj sweep (planar::gemm) vs the tiled
-// driver (simd::gemm_tiled) vs the packed cache-blocked engine
-// (blas::gemm_packed), with machine-readable output (BENCH_gemm.json). A
-// second section times the public AoS entry, blas::gemm on Float64x2
-// vectors (the same packed engine reading interleaved storage), at 1, 2
-// and 4 workers: the small cubes there are where the engine's ic x jr
-// split decides whether extra cores help.
+// The packed GEMM engine (blas/engine/) at 1, 2 and 4 workers, with
+// machine-readable output (BENCH_gemm.json). The first section times the
+// planar entry, blas::gemm_packed, on cubes of every expansion length; the
+// second times the public AoS entry, blas::gemm on Float64x2 vectors (the
+// same engine reading interleaved storage): the small cubes there are where
+// the engine's ic x jr split decides whether extra cores help. A last line
+// prints the engine's fork/join cost.
 //
-// All three compute bit-identical results (the conformance tier enforces
-// it), so this benchmark isolates pure data-movement/scheduling effects:
-// tiling reuses B rows from cache, packing additionally linearizes A and B
-// into contiguous aligned panels and holds the C micro-tile in registers
-// across the whole k extent. The headline comparison is Float64x2 at 512^3
-// (the paper's L3-resident GEMM regime); smaller dims and longer expansions
-// chart where each engine's overheads amortize. See EXPERIMENTS.md for the
-// analysis of these numbers on the CI machine (single core, FP-port-bound).
+// The engine is the library's only GEMM: its result is bit-identical to the
+// scalar check::reference_gemm for every worker count (the conformance tier
+// enforces it), so the thread sweep isolates pure scheduling effects. The
+// headline comparison is Float64x2 at 512^3 (the paper's L3-resident GEMM
+// regime); smaller dims and longer expansions chart where the engine's
+// overheads amortize. EXPERIMENTS.md analyses these numbers.
 //
 // Timings use median-of-K (bench::median_time): these records feed the
 // BENCH_*.json trajectories, where run-to-run robustness beats peak
@@ -83,10 +81,10 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
              gflops, dim, threads});
 }
 
-/// One (type, N, n) cube through all three engines. C accumulates across
-/// reps for tiled/packed (their contract is C += A B) -- harmless for
-/// timing, and zeroing inside the lambda would bill the sweep's hidden
-/// zero-pass to the wrong engine.
+/// One (type, N, n) cube through gemm_packed at 1, 2 and 4 workers
+/// (GemmConfig::max_threads, so builds without OpenMP run the std::thread
+/// pool). C accumulates across reps (the contract is C += A B) --
+/// harmless for timing.
 template <FloatingPoint T, int N>
 void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
               double min_time) {
@@ -97,30 +95,25 @@ void run_cube(bench::JsonReport& out, const char* type_name, std::size_t dim,
     planar::Vector<T, N> c(n * n);
     const int width = simd::active_width<T>();
 
-    const double ts = bench::median_time(
-        [&] { planar::gemm(a, b, c, n, n, n); }, min_time);
-    report(out, "gemm_sweep", type_name, N, width, ts, ops, n);
-
-    const double tt = bench::median_time(
-        [&] {
-            simd::gemm_tiled(planar::matrix_view(a, n, n),
-                             planar::matrix_view(b, n, n),
-                             planar::matrix_view(c, n, n));
-        },
-        min_time);
-    report(out, "gemm_tiled", type_name, N, width, tt, ops, n);
-
-    const double tp = bench::median_time(
-        [&] {
-            blas::gemm_packed(planar::matrix_view(a, n, n),
-                              planar::matrix_view(b, n, n),
-                              planar::matrix_view(c, n, n));
-        },
-        min_time);
-    report(out, "gemm_packed", type_name, N, width, tp, ops, n);
-
-    std::printf("  %-11s %-7s N=%d  %4zu^3  tiled/sweep %.3fx  packed/tiled %.3fx\n",
-                "(speedup)", type_name, N, n, ts / tt, tt / tp);
+    double t1 = 0.0;
+    for (unsigned t : {1u, 2u, 4u}) {
+        blas::GemmConfig cfg;
+        cfg.max_threads = t;
+        const double tp = bench::median_time(
+            [&] {
+                blas::gemm_packed(planar::matrix_view(a, n, n),
+                                  planar::matrix_view(b, n, n),
+                                  planar::matrix_view(c, n, n), cfg);
+            },
+            min_time);
+        report(out, "gemm_packed", type_name, N, width, tp, ops, n, static_cast<int>(t));
+        if (t == 1) {
+            t1 = tp;
+        } else {
+            std::printf("  %-11s %-7s N=%d  %4zu^3  %u workers vs 1: %.3fx\n", "(speedup)",
+                        type_name, N, n, t, t1 / tp);
+        }
+    }
 }
 
 /// Public AoS blas::gemm (C = A B over Float64x2 vectors) on one cube at 1,
@@ -196,9 +189,9 @@ int main(int argc, char** argv) {
             path = argv[i];
         }
     }
-    // Default (widest-detected) backend: the engines' relative standing is
-    // what this benchmark tracks; the per-backend spread is bench_simd's job.
-    std::printf("bench_gemm: sweep vs tiled vs packed (backend %s)%s\n",
+    // Default (widest-detected) backend: the engine's thread scaling is what
+    // this benchmark tracks; the per-backend spread is bench_simd's job.
+    std::printf("bench_gemm: gemm_packed at 1/2/4 workers (backend %s)%s\n",
                 simd::backend_name(simd::active_backend()),
                 quick ? " [quick]" : "");
     bench::JsonReport out;

@@ -4,7 +4,8 @@
 // The "autovec" rows re-create the seed's planar loops verbatim (plain
 // per-element loop + `#pragma GCC ivdep`, compiler auto-vectorization only);
 // the backend rows run the same workloads through mf::simd packs at each
-// backend available on this machine. Acceptance: the widest explicit backend
+// backend available on this machine (GEMM through the packed engine,
+// blas::gemm_packed, on one worker). Acceptance: the widest explicit backend
 // must be no slower than autovec on axpy/dot/gemm.
 //
 // Timings use median-of-K (bench::median_time) rather than best-of: these
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/engine/gemm_packed.hpp"
 #include "blas/planar.hpp"
 #include "harness.hpp"
 #include "simd/simd.hpp"
@@ -219,7 +221,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         }
         if (sink.limb[0] == T(-1)) std::printf("impossible\n");  // keep sink live
     }
-    // GEMM (untiled explicit path + tiled driver on the widest backend)
+    // GEMM: the packed engine on one worker, per backend
     {
         const std::size_t gn = runtime_size(48);
         const std::size_t gk = runtime_size(48);
@@ -231,21 +233,18 @@ void run_type(bench::JsonReport& out, const char* type_name) {
         const double t = bench::median_time(
             [&] { autovec_gemm<T, N>(a, bm, c, gn, gk, gm); });
         report(out, "gemm", type_name, N, "autovec", 0, t, ops);
+        blas::GemmConfig one_worker;
+        one_worker.max_threads = 1;
         for (simd::Backend b : available_backends()) {
             simd::set_backend(b);
-            const double tb = bench::median_time(
-                [&] { planar::gemm(a, bm, c, gn, gk, gm); });
+            const double tb = bench::median_time([&] {
+                blas::gemm_packed(planar::matrix_view(a, gn, gk),
+                                  planar::matrix_view(bm, gk, gm),
+                                  planar::matrix_view(c, gn, gm), one_worker);
+            });
             report(out, "gemm", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, ops);
         }
-        const double tt = bench::median_time([&] {
-            simd::gemm_tiled(planar::matrix_view(a, gn, gk),
-                             planar::matrix_view(bm, gk, gm),
-                             planar::matrix_view(c, gn, gm));
-        });
-        report(out, "gemm_tiled", type_name, N,
-               simd::backend_name(simd::active_backend()),
-               simd::active_width<T>(), tt, ops);
     }
     // Leave the widest backend active for whoever runs next.
     const auto avail = available_backends();

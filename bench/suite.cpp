@@ -227,8 +227,13 @@ double measure_planar(Kernel k, const SuiteOptions& opts) {
             const auto a = make_planar<T, N>(n * n, 9);
             const auto b = make_planar<T, N>(n * n, 10);
             planar::Vector<T, N> c(n * n);
-            const double t =
-                best_time([&] { planar::gemm(a, b, c, n, n, n); }, opts.min_time);
+            const double t = best_time(
+                [&] {
+                    blas::gemm_packed(planar::matrix_view(a, n, n),
+                                      planar::matrix_view(b, n, n),
+                                      planar::matrix_view(c, n, n));
+                },
+                opts.min_time);
             const double dn = static_cast<double>(n);
             return dn * dn * dn / t / 1e9;
         }

@@ -7,9 +7,11 @@
 //                           templated over the number type; MultiFloat views
 //                           take the explicit-SIMD pack fast path.
 //   planar.hpp              planar (SoA) Vector + matrix views and the
-//                           planar axpy/dot/gemv/gemm reference kernels.
-//   engine/gemm_packed.hpp  BLIS-style packed cache-blocked GEMM
-//                           (bit-identical to planar::gemm; DESIGN.md §11).
+//                           planar axpy/dot/gemv kernels.
+//   engine/gemm_packed.hpp  BLIS-style packed cache-blocked GEMM, the one
+//                           GEMM engine behind gemm_packed (planar) and
+//                           gemm (AoS MultiFloat); bit-identical to
+//                           check::reference_gemm (DESIGN.md §11).
 
 #include "engine/gemm_packed.hpp"
 #include "kernels.hpp"

@@ -1,11 +1,11 @@
 #pragma once
 // BLIS-style packed cache-blocked GEMM engine (DESIGN.md §11).
 //
-// C += A B with A (n x k), B (k x m), C (n x m), row-major -- the same
-// accumulate contract as planar::gemm and simd::gemm_tiled. One loop nest
-// (engine::gemm_accumulate) serves both storage layouts: planar views
-// through gemm_packed below, interleaved MultiFloat views through
-// blas::gemm (kernels.hpp). It reads operands only through the layout
+// C += A B with A (n x k), B (k x m), C (n x m), row-major. This is the
+// library's one GEMM engine: one loop nest (engine::gemm_accumulate) serves
+// both storage layouts, planar views through gemm_packed below (the only
+// planar GEMM entry) and interleaved MultiFloat views through blas::gemm
+// (kernels.hpp). It reads operands only through the layout
 // accessors of layout.hpp and never copies a whole matrix.
 //
 // Loop structure (outside in), following the classical
@@ -29,13 +29,13 @@
 //
 // Determinism/bit-identity: the pc loop ascends and the micro-kernel ascends
 // kk within each pc block, so every C element sees its k updates in exactly
-// planar::gemm's order, each update being the identical add(mul(.,.),.)
-// FPAN sequence; work items partition C into disjoint (row block, jr
+// check::reference_gemm's order, each update being the identical
+// add(mul(.,.),.) FPAN sequence; work items partition C into disjoint (row block, jr
 // column range) pieces per worker (owner-computes, threading.hpp's
 // plan_partition), so no element is touched by two threads.
-// Result: bit-identical to sequential planar::gemm for every backend, thread
-// count, and threading substrate -- enforced by check::diff_gemm_packed and
-// the fuzz-smoke conformance tier.
+// Result: bit-identical to the scalar check::reference_gemm for every
+// backend, thread count, and threading substrate -- enforced by
+// check::diff_gemm_packed and the fuzz-smoke conformance tier.
 
 #include <algorithm>
 #include <cstddef>
@@ -45,6 +45,7 @@
 #include "../../simd/dispatch.hpp"
 #include "../../telemetry/events.hpp"
 #include "../planar.hpp"
+#include "../views.hpp"
 #include "layout.hpp"
 #include "microkernel.hpp"
 #include "packing.hpp"
@@ -100,8 +101,8 @@ template <std::floating_point T, int N>
 
 namespace detail {
 
-/// Sequential unpacked fallback over layout accessors: planar::gemm's ikj
-/// order, one kk-ascending add(mul(a_ik, b_kj), c_ij) per element, W
+/// Sequential unpacked fallback over layout accessors: ikj order, one
+/// kk-ascending add(mul(a_ik, b_kj), c_ij) per element, W
 /// columns at a time through the accessors' pack loads plus a scalar tail.
 /// Bit-identical to the packed loop nest for every layout and pack width --
 /// which is why gemm_accumulate may switch to this path when panel scratch
@@ -254,13 +255,20 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
 }  // namespace engine
 
 /// C += A B through packed panels and the register-blocked micro-kernel,
-/// planar views. Bit-identical to planar::gemm (see file header);
+/// planar views. Bit-identical to check::reference_gemm (see file header);
 /// degenerate shapes (any zero dimension) are no-ops. The entry point
 /// carries an FP-environment sentinel (MF_GUARD_POLICY decides
-/// detect/enforce behavior; DESIGN.md §12).
+/// detect/enforce behavior) and, under MF_BOUNDS_CHECK, the same shape and
+/// stride validation as blas::gemm (DESIGN.md §12).
 template <FloatingPoint T, int N>
 void gemm_packed(planar::ConstMatrixView<T, N> a, planar::ConstMatrixView<T, N> b,
                  planar::MatrixView<T, N> c, const GemmConfig& cfg = {}) {
+    MF_BLAS_REQUIRE(a.rows == c.rows, "blas.gemm_packed", "a.rows == c.rows");
+    MF_BLAS_REQUIRE(a.cols == b.rows, "blas.gemm_packed", "a.cols == b.rows");
+    MF_BLAS_REQUIRE(b.cols == c.cols, "blas.gemm_packed", "b.cols == c.cols");
+    MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.gemm_packed", "a.stride >= a.cols");
+    MF_BLAS_REQUIRE(b.stride >= b.cols, "blas.gemm_packed", "b.stride >= b.cols");
+    MF_BLAS_REQUIRE(c.stride >= c.cols, "blas.gemm_packed", "c.stride >= c.cols");
     if (c.rows == 0 || c.cols == 0 || a.cols == 0) return;
     const guard::Sentinel sentinel{"blas.gemm_packed"};
     engine::gemm_accumulate(engine::access(a), engine::access(b), engine::access(c), cfg,

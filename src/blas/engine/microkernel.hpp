@@ -11,12 +11,13 @@
 // than a single fma_range's one-chain-per-pack.
 //
 // Bit-identity argument: every output element receives exactly the update
-// planar::gemm applies -- add(mul(a_ik, b_kj), c_ij), the identical FPAN
-// gate sequence, in the identical kk-ascending order. Holding the partial
-// result in a register instead of storing/reloading it through the C plane
-// does not change any arithmetic, and pack lanes execute the same IEEE ops
-// as scalars (pack.hpp), so the packed result is bit-for-bit planar::gemm's
-// (enforced by check::diff_gemm_packed / tests/gemm_threads_test.cpp).
+// check::reference_gemm applies -- add(mul(a_ik, b_kj), c_ij), the identical
+// FPAN gate sequence, in the identical kk-ascending order. Holding the
+// partial result in a register instead of storing/reloading it through the
+// C plane does not change any arithmetic, and pack lanes execute the same
+// IEEE ops as scalars (pack.hpp), so the packed result is bit-for-bit the
+// reference's (enforced by check::diff_gemm_packed /
+// tests/gemm_threads_test.cpp).
 //
 // C is reached only through a layout accessor (layout.hpp), so the same
 // kernel serves planar and AoS matrices: a full tile loads and stores its

@@ -64,9 +64,8 @@ enum class ThreadMode {
 };
 
 /// True when already executing inside an OpenMP parallel region. Every
-/// parallel region in the library (engine, blas:: kernels, simd tiling)
-/// checks this and runs serially instead of oversubscribing with nested
-/// teams.
+/// parallel region in the library (engine, blas:: kernels) checks this and
+/// runs serially instead of oversubscribing with nested teams.
 inline bool in_parallel() noexcept {
 #if defined(_OPENMP)
     return omp_in_parallel() != 0;

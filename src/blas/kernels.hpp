@@ -7,9 +7,7 @@
 // The public signatures take the typed views of views.hpp -- a vector view
 // carries (data, size), a matrix view carries (data, rows, cols, stride) --
 // so shapes travel with the data and sub-matrix blocks (stride > cols) work
-// without copying. The historical `std::span + n, k, m` signatures survive
-// as thin [[deprecated]] forwarding wrappers below; they assume contiguous
-// storage exactly as before.
+// without copying.
 //
 // MultiFloat views additionally take an explicit-SIMD fast path: the loop
 // bodies run on mf::simd packs (runtime-dispatched to the widest available
@@ -23,9 +21,8 @@
 // ordering for the generic GEMM, with OpenMP over the outer loop when
 // enabled; MultiFloat GEMM runs the packed engine (engine/gemm_packed.hpp)
 // instead. Every parallel region is guarded by engine::in_parallel() so that
-// kernels called from inside an existing parallel region (e.g. the tiled
-// GEMM in simd/tiling.hpp, or a user's own omp loop) run serially
-// instead of oversubscribing with nested teams.
+// kernels called from inside an existing parallel region (e.g. a user's own
+// omp loop) run serially instead of oversubscribing with nested teams.
 //
 // Robustness (DESIGN.md §12): every view entry point carries an
 // MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
@@ -36,7 +33,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <span>
 
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
@@ -253,9 +249,9 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
 /// zeroed, then the packed engine accumulates C += A B straight from
 /// the interleaved views, parallel over row blocks and micro-panel columns.
 /// Every element still receives its k updates add(mul(a, b), c) in
-/// kk-ascending order, so the result is bit-identical to gemm_packed on the
-/// same data in planar form. Other number types run the ikj loop, so every
-/// library under evaluation executes identical code.
+/// kk-ascending order, so the result is bit-identical to
+/// check::reference_gemm, and to gemm_packed on the same data in planar
+/// form. Other number types run the ikj loop.
 template <typename V>
 void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
     // The one sentinel of the call: the engine entry below is unguarded and
@@ -289,77 +285,6 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated span-based signatures (pre-view API). Thin forwarders; will be
-// removed once external callers have migrated. All in-repo callers use the
-// view API; tests/blas_views_test.cpp keeps these compiling under a local
-// -Wdeprecated-declarations suppression.
-// ---------------------------------------------------------------------------
-
-template <typename V>
-[[deprecated("use axpy(alpha, ConstVectorView, VectorView)")]]
-void axpy(const V& alpha, std::span<const V> x, std::span<V> y) {
-    axpy<V>(alpha, ConstVectorView<V>{x.data(), x.size()},
-            VectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use dot(ConstVectorView, ConstVectorView)")]]
-[[nodiscard]] V dot(std::span<const V> x, std::span<const V> y) {
-    return dot<V>(ConstVectorView<V>{x.data(), x.size()},
-                  ConstVectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use gemv(ConstMatrixView, ConstVectorView, VectorView)")]]
-void gemv(std::span<const V> a, std::size_t n, std::size_t m,
-          std::span<const V> x, std::span<V> y) {
-    gemv<V>(ConstMatrixView<V>{a.data(), n, m},
-            ConstVectorView<V>{x.data(), x.size()},
-            VectorView<V>{y.data(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use scal(alpha, VectorView)")]]
-void scal(const V& alpha, std::span<V> x) {
-    scal<V>(alpha, VectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use asum(ConstVectorView)")]]
-[[nodiscard]] V asum(std::span<const V> x) {
-    return asum<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use nrm2(ConstVectorView)")]]
-[[nodiscard]] V nrm2(std::span<const V> x) {
-    return nrm2<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use iamax(ConstVectorView)")]]
-[[nodiscard]] std::size_t iamax(std::span<const V> x) {
-    return iamax<V>(ConstVectorView<V>{x.data(), x.size()});
-}
-
-template <typename V>
-[[deprecated("use ger(alpha, ConstVectorView, ConstVectorView, MatrixView)")]]
-void ger(const V& alpha, std::span<const V> x, std::span<const V> y,
-         std::span<V> a) {
-    ger<V>(alpha, ConstVectorView<V>{x.data(), x.size()},
-           ConstVectorView<V>{y.data(), y.size()},
-           MatrixView<V>{a.data(), x.size(), y.size()});
-}
-
-template <typename V>
-[[deprecated("use gemm(ConstMatrixView, ConstMatrixView, MatrixView)")]]
-void gemm(std::span<const V> a, std::span<const V> b, std::span<V> c,
-          std::size_t n, std::size_t k, std::size_t m) {
-    gemm<V>(ConstMatrixView<V>{a.data(), n, k}, ConstMatrixView<V>{b.data(), k, m},
-            MatrixView<V>{c.data(), n, m});
 }
 
 }  // namespace mf::blas

@@ -20,7 +20,8 @@
 // The elementwise ranges and the dot reduction are executed by the explicit
 // pack kernels of mf::simd (runtime-dispatched to the widest available
 // backend, scalar tail loop for the remainder) instead of relying on the
-// auto-vectorizer; see src/simd/ and DESIGN.md "SIMD backend".
+// auto-vectorizer; see src/simd/ and DESIGN.md "SIMD backend". Planar GEMM
+// is blas::gemm_packed (engine/gemm_packed.hpp) over the matrix views below.
 
 #include <cstddef>
 #include <vector>
@@ -66,9 +67,9 @@ private:
 /// limb plane plus (rows, cols, stride), where `stride` is the element
 /// distance between consecutive row starts within each plane (>= cols;
 /// defaults to cols). This is the matrix argument type of the planar GEMM
-/// engines (simd::gemm_tiled, blas::gemm_packed): shapes travel with the
-/// data, and a sub-block of a larger planar matrix is just a view with
-/// offset plane pointers and the parent's stride.
+/// entry, blas::gemm_packed: shapes travel with the data, and a sub-block of
+/// a larger planar matrix is just a view with offset plane pointers and the
+/// parent's stride.
 template <FloatingPoint T, int N>
 struct ConstMatrixView {
     const T* planes[N] = {};
@@ -155,24 +156,6 @@ template <FloatingPoint T, int N>
     return MatrixView<T, N>(v, rows, cols, stride);
 }
 
-namespace detail {
-
-/// Elementwise z = x + y over raw planes [i0, i1): W elements at a time
-/// through the pack add network, scalar tail for the remainder.
-template <FloatingPoint T, int N>
-void add_range(const T* const* xp, const T* const* yp, T* const* zp,
-               std::size_t i0, std::size_t i1) {
-    simd::add_range<T, N>(xp, yp, zp, i0, i1);
-}
-
-template <FloatingPoint T, int N>
-void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
-               std::size_t i0, std::size_t i1) {
-    simd::fma_range<T, N>(alpha, xp, yp, i0, i1);
-}
-
-}  // namespace detail
-
 /// y <- alpha * x + y.
 template <FloatingPoint T, int N>
 void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y) {
@@ -182,7 +165,7 @@ void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y)
         xp[k] = x.plane(k);
         yp[k] = y.plane(k);
     }
-    detail::fma_range<T, N>(alpha, xp, yp, 0, x.size());
+    simd::fma_range<T, N>(alpha, xp, yp, 0, x.size());
 }
 
 /// <x, y> with (at least) eight independent accumulators kept in pack lanes
@@ -217,36 +200,6 @@ void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
             const T* arow[N];
             for (int p = 0; p < N; ++p) arow[p] = ap[p] + i * m;
             y.set(i, simd::kernels::dot<T, N, w()>(arow, xp, m));
-        }
-    });
-}
-
-/// C <- A B, all planar, ikj order: the inner j-loop is an elementwise
-/// fused multiply-add sweep over contiguous planes (vectorizes).
-template <FloatingPoint T, int N>
-void gemm(const Vector<T, N>& a, const Vector<T, N>& b, Vector<T, N>& c,
-          std::size_t n, std::size_t k, std::size_t m) {
-    const T* bp[N];
-    T* cp[N];
-    for (int p = 0; p < N; ++p) {
-        bp[p] = b.plane(p);
-        cp[p] = c.plane(p);
-    }
-    // Backend dispatch hoisted out of the loop nest: n*k short fma sweeps
-    // would otherwise re-resolve the active backend on every call.
-    simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const MultiFloat<T, N> aik = a.get(i * k + kk);
-                // c[i, :] += aik * b[kk, :]
-                const T* brow[N];
-                T* crow[N];
-                for (int p = 0; p < N; ++p) {
-                    brow[p] = bp[p] + kk * m;
-                    crow[p] = cp[p] + i * m;
-                }
-                simd::kernels::fma_range<T, N, w()>(aik, brow, crow, 0, m);
-            }
         }
     });
 }

@@ -3,18 +3,12 @@
 // vectors and a (pointer, rows, cols, stride) quadruple for row-major
 // matrices, in const and mutable flavors.
 //
-// Rationale (DESIGN.md §11): the historical signatures passed raw
-// `std::span + n, k, m` positional sizes, so every call site restated the
-// shape bookkeeping and nothing stopped a transposed (n, m) swap from
-// compiling. A view carries its own shape, supports row strides (sub-matrix
-// blocks without copying), and gives gemm/gemv a self-describing signature:
+// Rationale (DESIGN.md §11): a view carries its own shape, so call sites do
+// not restate positional sizes and a transposed (n, m) swap is caught by the
+// MF_BOUNDS_CHECK shape checks; it supports row strides (sub-matrix blocks without copying),
+// and gives gemm/gemv a self-describing signature:
 //
 //   blas::gemm(blas::view(a, n, k), blas::view(b, k, m), blas::view(c, n, m));
-//
-// Views are intentionally NOT ranges and have NO std::span constructor:
-// overload resolution must keep the deprecated span signatures (exact match
-// for existing span callers) strictly apart from the view signatures, with
-// no braced-initializer ambiguity in either direction.
 //
 // Mutable views convert implicitly to const views, so explicit-template-arg
 // call sites (`blas::dot<V>(x, y)`) accept either. Deduced call sites pass

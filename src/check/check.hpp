@@ -12,7 +12,8 @@
 //   generators.hpp   structure-aware adversarial input generation
 //   oracle.hpp       BigFloat oracle glue + the enforced error-bound table
 //   conformance.hpp  per-op bound checking, slack histograms, counterexamples
-//   differ.hpp       scalar-vs-SIMD and sequential-vs-tiled bit differs
+//   differ.hpp       scalar-vs-SIMD and reference-vs-packed-GEMM bit differs
+//   reference.hpp    the scalar GEMM reference every GEMM check compares to
 //   shrink.hpp       counterexample minimization
 //   corpus.hpp       replayable seed-corpus IO (tests/corpus/)
 //   report.hpp       CHECK_*.json error-bound telemetry
@@ -26,6 +27,7 @@
 #include "differ.hpp"
 #include "generators.hpp"
 #include "oracle.hpp"
+#include "reference.hpp"
 #include "report.hpp"
 #include "robustness.hpp"
 #include "shrink.hpp"

@@ -10,12 +10,11 @@
 //     runtime backend vs. the width-1 scalar kernel;
 //   * the dot reduction, which additionally pins the historical
 //     eight-accumulator merge order for widths <= 8;
-//   * gemm_tiled vs. sequential planar::gemm under varying OpenMP thread
-//     counts and inside an enclosing parallel region (nesting guard);
-//   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. sequential
-//     planar::gemm across every available backend, thread count, and
-//     threading substrate (OpenMP and the std::thread pool), including
-//     deliberately tiny cache blocks so pack edges are exercised.
+//   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. the scalar
+//     check::reference_gemm across every available backend, worker count,
+//     and threading substrate (OpenMP and the std::thread pool), including
+//     deliberately tiny cache blocks so pack edges are exercised, plus one
+//     run nested inside an enclosing parallel region (nesting guard).
 //
 // Comparison is raw bit identity per limb, except that any-NaN == any-NaN:
 // lanes that produce NaN must agree on NaN-ness, not on payload bits.
@@ -29,8 +28,8 @@
 #include "../blas/engine/gemm_packed.hpp"
 #include "../blas/planar.hpp"
 #include "../simd/simd.hpp"
-#include "../simd/tiling.hpp"
 #include "generators.hpp"
+#include "reference.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -40,11 +39,11 @@ namespace mf::check {
 
 /// One diffed (kernel, backend/schedule) combination.
 struct DiffRecord {
-    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_tiled" |
-                          ///< "gemm_packed"
+    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_packed"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< backend name, or "threads=K" / "nested" for gemm
+    std::string backend;  ///< backend name; gemm adds "/threads=K/auto|pool", or
+                          ///< is "nested"
     int width = 0;        ///< pack lanes of the backend under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -187,91 +186,13 @@ template <std::floating_point T, int N>
     return out;
 }
 
-/// Diff gemm_tiled against sequential planar::gemm under each requested
-/// OpenMP thread count, plus one run nested inside an enclosing parallel
-/// region (which must fall back to sequential execution, not oversubscribe).
-template <std::floating_point T, int N>
-[[nodiscard]] std::vector<DiffRecord> diff_gemm_threads(
-    std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
-    const std::vector<int>& thread_counts, const GenConfig& cfg = {}) {
-    const char* type = sizeof(T) == 8 ? "double" : "float";
-    std::mt19937_64 rng(seed);
-    planar::Vector<T, N> a, b;
-    detail::fill_vectors(rng, n * k, cfg, a);
-    detail::fill_vectors(rng, k * m, cfg, b);
-    planar::Vector<T, N> want(n * m);
-    planar::gemm(a, b, want, n, k, m);
-
-    std::vector<DiffRecord> out;
-    const simd::TileShape tile{4, 8, 5};  // ragged tiles: worst case for order bugs
-
-#if defined(_OPENMP)
-    const int saved_threads = omp_get_max_threads();
-#endif
-    for (int t : thread_counts) {
-#if defined(_OPENMP)
-        omp_set_num_threads(t);
-#else
-        if (t != 1) continue;
-#endif
-        planar::Vector<T, N> c(n * m);
-        simd::gemm_tiled(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                         planar::matrix_view(c, n, m), tile);
-        DiffRecord rec{"gemm_tiled", type, N, "threads=" + std::to_string(t),
-                       simd::active_width<T>(), n * m,
-                       detail::count_mismatches(c, want, n * m)};
-        out.push_back(std::move(rec));
-        // The packed engine under the same thread budget (its own worker
-        // partition, not OpenMP's loop schedule -- max_threads caps it).
-        planar::Vector<T, N> cp(n * m);
-        blas::GemmConfig pcfg;
-        pcfg.max_threads = static_cast<unsigned>(t);
-        blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                          planar::matrix_view(cp, n, m), pcfg);
-        DiffRecord prec{"gemm_packed", type, N, "threads=" + std::to_string(t),
-                        simd::active_width<T>(), n * m,
-                        detail::count_mismatches(cp, want, n * m)};
-        out.push_back(std::move(prec));
-    }
-#if defined(_OPENMP)
-    omp_set_num_threads(saved_threads);
-    {
-        // Nested: every thread of an enclosing region issues its own GEMM;
-        // the omp_in_parallel() guard must serialize each one.
-        planar::Vector<T, N> c0(n * m), c1(n * m);
-        planar::Vector<T, N>* cs[2] = {&c0, &c1};
-        bool done[2] = {false, false};
-        bool was_parallel = false;
-#pragma omp parallel num_threads(2)
-        {
-            const int id = omp_get_thread_num();
-#pragma omp critical
-            was_parallel = was_parallel || omp_in_parallel() != 0;
-            if (id < 2) {
-                simd::gemm_tiled(planar::matrix_view(a, n, k),
-                                 planar::matrix_view(b, k, m),
-                                 planar::matrix_view(*cs[id], n, m), tile);
-                done[id] = true;
-            }
-        }
-        DiffRecord rec{"gemm_tiled", type, N, "nested", simd::active_width<T>(), 0, 0};
-        for (int id = 0; id < 2; ++id) {
-            if (!done[id]) continue;
-            rec.elements += n * m;
-            rec.mismatches += detail::count_mismatches(*cs[id], want, n * m);
-        }
-        if (!was_parallel) rec.backend = "nested(no-omp)";
-        out.push_back(std::move(rec));
-    }
-#endif
-    return out;
-}
-
-/// Diff gemm_packed against sequential planar::gemm across every available
+/// Diff gemm_packed against check::reference_gemm across every available
 /// backend x worker count x threading substrate (OpenMP-automatic and the
 /// std::thread pool). `blocks` pins the cache blocks -- pass deliberately
 /// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
-/// micro-tiles; the default auto-selects per backend.
+/// micro-tiles; the default auto-selects per backend. One more record,
+/// "nested", has every thread of an enclosing OpenMP region issue its own
+/// GEMM, which the engine must serialize instead of oversubscribing.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -282,40 +203,73 @@ template <std::floating_point T, int N>
     planar::Vector<T, N> a, b;
     detail::fill_vectors(rng, n * k, cfg, a);
     detail::fill_vectors(rng, k * m, cfg, b);
-    planar::Vector<T, N> want(n * m);
-    planar::gemm(a, b, want, n, k, m);
+    const planar::Vector<T, N> want = reference_gemm_planar(a, b, n, k, m);
 
     std::vector<DiffRecord> out;
-    detail::BackendGuard guard;
-    for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
-                             simd::Backend::avx2, simd::Backend::avx512,
-                             simd::Backend::neon}) {
-        if (!simd::backend_available(bk)) continue;
-        simd::set_backend(bk);
-        for (int t : thread_counts) {
-            for (blas::engine::ThreadMode mode :
-                 {blas::engine::ThreadMode::automatic,
-                  blas::engine::ThreadMode::pool}) {
-                planar::Vector<T, N> c(n * m);
-                blas::GemmConfig pcfg;
-                pcfg.blocks = blocks;
-                pcfg.threads = mode;
-                pcfg.max_threads = static_cast<unsigned>(t);
-                blas::gemm_packed(planar::matrix_view(a, n, k),
-                                  planar::matrix_view(b, k, m),
-                                  planar::matrix_view(c, n, m), pcfg);
-                std::string label = std::string(simd::backend_name(bk)) +
-                                    "/threads=" + std::to_string(t) +
-                                    (mode == blas::engine::ThreadMode::pool
-                                         ? "/pool"
-                                         : "/auto");
-                DiffRecord rec{"gemm_packed", type, N, std::move(label),
-                               simd::backend_width<T>(bk), n * m,
-                               detail::count_mismatches(c, want, n * m)};
-                out.push_back(std::move(rec));
+    blas::GemmConfig pcfg;
+    pcfg.blocks = blocks;
+    {
+        detail::BackendGuard guard;
+        for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
+                                 simd::Backend::avx2, simd::Backend::avx512,
+                                 simd::Backend::neon}) {
+            if (!simd::backend_available(bk)) continue;
+            simd::set_backend(bk);
+            for (int t : thread_counts) {
+                for (blas::engine::ThreadMode mode :
+                     {blas::engine::ThreadMode::automatic,
+                      blas::engine::ThreadMode::pool}) {
+                    planar::Vector<T, N> c(n * m);
+                    pcfg.threads = mode;
+                    pcfg.max_threads = static_cast<unsigned>(t);
+                    blas::gemm_packed(planar::matrix_view(a, n, k),
+                                      planar::matrix_view(b, k, m),
+                                      planar::matrix_view(c, n, m), pcfg);
+                    std::string label = std::string(simd::backend_name(bk)) +
+                                        "/threads=" + std::to_string(t) +
+                                        (mode == blas::engine::ThreadMode::pool
+                                             ? "/pool"
+                                             : "/auto");
+                    DiffRecord rec{"gemm_packed", type, N, std::move(label),
+                                   simd::backend_width<T>(bk), n * m,
+                                   detail::count_mismatches(c, want, n * m)};
+                    out.push_back(std::move(rec));
+                }
             }
         }
     }
+#if defined(_OPENMP)
+    {
+        // Nested: every thread of an enclosing region issues its own GEMM;
+        // the engine's in_parallel() guard must serialize each one.
+        pcfg.threads = blas::engine::ThreadMode::automatic;
+        pcfg.max_threads = 0;
+        planar::Vector<T, N> c0(n * m), c1(n * m);
+        planar::Vector<T, N>* cs[2] = {&c0, &c1};
+        bool done[2] = {false, false};
+        bool was_parallel = false;
+#pragma omp parallel num_threads(2)
+        {
+            const int id = omp_get_thread_num();
+#pragma omp critical
+            was_parallel = was_parallel || omp_in_parallel() != 0;
+            if (id < 2) {
+                blas::gemm_packed(planar::matrix_view(a, n, k),
+                                  planar::matrix_view(b, k, m),
+                                  planar::matrix_view(*cs[id], n, m), pcfg);
+                done[id] = true;
+            }
+        }
+        DiffRecord rec{"gemm_packed", type, N, "nested", simd::active_width<T>(), 0, 0};
+        for (int id = 0; id < 2; ++id) {
+            if (!done[id]) continue;
+            rec.elements += n * m;
+            rec.mismatches += detail::count_mismatches(*cs[id], want, n * m);
+        }
+        if (!was_parallel) rec.backend = "nested(no-omp)";
+        out.push_back(std::move(rec));
+    }
+#endif
     return out;
 }
 

@@ -5,7 +5,8 @@
 // fires) or ABSORBED (a degradation counter fires and the result stays
 // bit-identical to the clean run). Zero crashes either way.
 //
-// Cases (all over one shared corpus and one clean-environment reference):
+// Cases (all over one shared corpus and one clean-environment
+// check::reference_gemm product):
 //
 //   env-entry-{rz,ftz,daz}  hostile environment installed before the call;
 //                           policy=enforce must detect it (violation counter,
@@ -35,6 +36,7 @@
 #include "../guard/guard.hpp"
 #include "../telemetry/registry.hpp"
 #include "differ.hpp"
+#include "reference.hpp"
 
 namespace mf::check {
 
@@ -89,10 +91,10 @@ namespace detail {
     planar::Vector<T, N> a, b;
     detail::fill_vectors(rng, n * k, cfg, a);
     detail::fill_vectors(rng, k * m, cfg, b);
-    planar::Vector<T, N> want(n * m);
+    planar::Vector<T, N> want;
     {
         guard::ScopedFpEnv clean;  // the reference is the nominal-env result
-        planar::gemm(a, b, want, n, k, m);
+        want = reference_gemm_planar(a, b, n, k, m);
     }
 
     std::vector<FaultCase> out;

@@ -12,7 +12,7 @@
 //                              (AXPY/DOT/GEMV/GEMM), planar layout, and the
 //                              packed cache-blocked GEMM engine
 //   <simd/simd.hpp>            Pack<T, W> backends, runtime dispatch, the
-//                              width-templated FPAN kernels, tiled GEMM
+//                              width-templated FPAN kernels
 //   <telemetry/telemetry.hpp>  counters/histograms/trace spans -- optional
 //                              in the sense that every MF_TELEM_* macro
 //                              compiles to nothing unless the build defines

@@ -9,10 +9,10 @@
 //   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS) with
 //                explicit scalar tail loops.
 //   dispatch.hpp Runtime dispatch from the active backend to the kernels.
-//   tiling.hpp   Blocked/tiled OpenMP-parallel GEMM driver on pack kernels.
+//
+// GEMM lives in one place, the packed engine of mf::blas (blas/engine/).
 
 #include "backend.hpp"
 #include "dispatch.hpp"
 #include "kernels.hpp"
 #include "pack.hpp"
-#include "tiling.hpp"

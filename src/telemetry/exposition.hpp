@@ -7,12 +7,12 @@
 // cumulative-bucket form; because observations are log2-bucketed, every
 // `le` edge is an exact power of two:
 //
-//   # TYPE mf_gemm_tile_ns histogram
-//   mf_gemm_tile_ns_bucket{le="131072"} 3
-//   mf_gemm_tile_ns_bucket{le="262144"} 9
-//   mf_gemm_tile_ns_bucket{le="+Inf"} 9
-//   mf_gemm_tile_ns_sum 1482211
-//   mf_gemm_tile_ns_count 9
+//   # TYPE mf_gemm_macro_panel_ns histogram
+//   mf_gemm_macro_panel_ns_bucket{le="131072"} 3
+//   mf_gemm_macro_panel_ns_bucket{le="262144"} 9
+//   mf_gemm_macro_panel_ns_bucket{le="+Inf"} 9
+//   mf_gemm_macro_panel_ns_sum 1482211
+//   mf_gemm_macro_panel_ns_count 9
 //
 // The first sample is an `mf_build_info` series (value 1) carrying the
 // provenance labels from build_info(), the idiomatic way to ship build

@@ -79,6 +79,16 @@ TEST_F(BlasBoundsDeathTest, GemmOutputShapeMismatchAborts) {
                  "bounds check failed: blas.gemm: a.rows == c.rows");
 }
 
+// The planar GEMM entry validates like blas::gemm: A (rows x cols) fed as
+// both operands breaks a.cols == b.rows.
+TEST_F(BlasBoundsDeathTest, GemmPackedInnerDimensionMismatchAborts) {
+    planar::Vector<double, 2> a(rows_ * cols_), c(rows_ * rows_);
+    EXPECT_DEATH(blas::gemm_packed(planar::matrix_view(std::as_const(a), rows_, cols_),
+                                   planar::matrix_view(std::as_const(a), rows_, cols_),
+                                   planar::matrix_view(c, rows_, rows_)),
+                 "bounds check failed: blas.gemm_packed: a.cols == b.rows");
+}
+
 // Positive controls: matching shapes must pass through the checks and
 // produce the usual results -- the macro must not reject valid calls.
 TEST_F(BlasBoundsDeathTest, MatchingShapesRunClean) {

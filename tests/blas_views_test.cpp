@@ -1,15 +1,14 @@
 // The view-based mf::blas public API (DESIGN.md §11): view construction and
-// indexing, strided sub-matrix views, the umbrella header, the deprecated
-// span signatures (still compiling, still correct, warning suppressed
-// locally), and the gemm_tiled degenerate-shape regression.
+// indexing, strided sub-matrix views, and the planar GEMM entry through the
+// umbrella header.
 
 #include <gtest/gtest.h>
 
-#include <span>
-#include <utility>
 #include <vector>
 
 #include <mf/mf.hpp>
+
+#include "check/reference.hpp"
 
 namespace {
 
@@ -66,84 +65,15 @@ TEST(BlasViews, GemmOnStridedSubBlock) {
     }
 }
 
-// The deprecated span signatures must keep compiling (with a warning,
-// suppressed here) and forward to the identical kernels.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(BlasViews, DeprecatedSpanWrappersStillWork) {
-    const std::size_t n = 17;
-    std::vector<Float64x2> x, y_span, y_view;
-    for (std::size_t i = 0; i < n; ++i) {
-        x.emplace_back(1.0 + double(i) * 0x1p-30);
-        y_span.emplace_back(2.0 - double(i) * 0x1p-29);
-    }
-    y_view = y_span;
-    const Float64x2 alpha(1.125);
-    axpy<Float64x2>(alpha, std::span<const Float64x2>{x.data(), n},
-                    std::span<Float64x2>{y_span.data(), n});
-    axpy<Float64x2>(alpha, view(std::as_const(x)), view(y_view));
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(y_span[i].limb[0], y_view[i].limb[0]) << i;
-        EXPECT_EQ(y_span[i].limb[1], y_view[i].limb[1]) << i;
-    }
-    const Float64x2 d_span = dot<Float64x2>(std::span<const Float64x2>{x.data(), n},
-                                            std::span<const Float64x2>{y_span.data(), n});
-    const Float64x2 d_view = dot<Float64x2>(view(x), view(y_view));
-    EXPECT_EQ(d_span.limb[0], d_view.limb[0]);
-    EXPECT_EQ(d_span.limb[1], d_view.limb[1]);
-    // gemm: positional sizes vs. shaped views.
-    const std::size_t gn = 3, gk = 4, gm = 2;
-    std::vector<double> ga(gn * gk, 1.5), gb(gk * gm, -2.0);
-    std::vector<double> gc_span(gn * gm), gc_view(gn * gm);
-    gemm<double>(std::span<const double>{ga.data(), gn * gk},
-                 std::span<const double>{gb.data(), gk * gm},
-                 std::span<double>{gc_span.data(), gn * gm}, gn, gk, gm);
-    gemm<double>(view(ga, gn, gk), view(gb, gk, gm), view(gc_view, gn, gm));
-    for (std::size_t i = 0; i < gn * gm; ++i) EXPECT_EQ(gc_span[i], gc_view[i]) << i;
-}
-#pragma GCC diagnostic pop
-
-// Regression: gemm_tiled used to assume nonzero dims and tiles no larger
-// than the matrix; both must now be safe no-ops / single-tile runs.
-TEST(BlasViews, GemmTiledDegenerateShapes) {
-    using mf::planar::matrix_view;
-    mf::planar::Vector<double, 2> a, b, c(4);
-    for (std::size_t i = 0; i < 4; ++i) c.set(i, mf::Float64x2(double(i)));
-    // Zero k: no updates, C untouched.
-    mf::simd::gemm_tiled(matrix_view(a, 2, 0), matrix_view(b, 0, 2),
-                         matrix_view(c, 2, 2));
-    // Zero rows / cols: nothing to touch at all.
-    mf::simd::gemm_tiled(matrix_view(a, 0, 3), matrix_view(b, 3, 2),
-                         matrix_view(c, 0, 2));
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(c.get(i).limb[0], double(i));
-    // Oversized and zero tile dims clamp instead of dividing by zero.
-    mf::planar::Vector<double, 2> a1(4), b1(4), c1(4), want(4);
-    for (std::size_t i = 0; i < 4; ++i) {
-        a1.set(i, mf::Float64x2(1.0 + double(i)));
-        b1.set(i, mf::Float64x2(2.0 - double(i)));
-    }
-    mf::planar::gemm(a1, b1, want, 2, 2, 2);
-    for (const mf::simd::TileShape tile :
-         {mf::simd::TileShape{1024, 1024, 1024}, mf::simd::TileShape{0, 0, 0}}) {
-        mf::planar::Vector<double, 2> got(4);
-        mf::simd::gemm_tiled(matrix_view(a1, 2, 2), matrix_view(b1, 2, 2),
-                             matrix_view(got, 2, 2), tile);
-        for (std::size_t i = 0; i < 4; ++i) {
-            EXPECT_EQ(got.get(i).limb[0], want.get(i).limb[0]) << i;
-            EXPECT_EQ(got.get(i).limb[1], want.get(i).limb[1]) << i;
-        }
-    }
-}
-
-// The packed engine accepts the same planar views; spot-check it against
-// planar::gemm here so the umbrella-header surface is exercised end to end
-// (the exhaustive sweep lives in gemm_threads_test.cpp).
+// The packed engine accepts planar views; spot-check it against
+// check::reference_gemm here so the umbrella-header surface is exercised end
+// to end (the exhaustive sweep lives in gemm_threads_test.cpp).
 TEST(BlasViews, GemmPackedThroughUmbrellaHeader) {
     const std::size_t n = 7, k = 5, m = 9;
-    mf::planar::Vector<double, 2> a(n * k), b(k * m), c(n * m), want(n * m);
+    mf::planar::Vector<double, 2> a(n * k), b(k * m), c(n * m);
     for (std::size_t i = 0; i < n * k; ++i) a.set(i, mf::Float64x2(0.5 + double(i)));
     for (std::size_t i = 0; i < k * m; ++i) b.set(i, mf::Float64x2(1.5 - double(i)));
-    mf::planar::gemm(a, b, want, n, k, m);
+    const auto want = mf::check::reference_gemm_planar(a, b, n, k, m);
     mf::blas::gemm_packed(mf::planar::matrix_view(a, n, k),
                           mf::planar::matrix_view(b, k, m),
                           mf::planar::matrix_view(c, n, m));

@@ -2,8 +2,9 @@
 //
 // blas::gemm over interleaved MultiFloat views zeroes C and runs the one
 // packed engine (engine::gemm_accumulate) through the AoS layout accessor.
-// These tests pin its contract against a scalar reference that applies
-// every update c = add(mul(a, b), c) in kk-ascending order:
+// These tests pin its contract against check::reference_gemm, the scalar
+// reference that applies every update c = add(mul(a, b), c) in kk-ascending
+// order:
 //
 //   * bit-identical for every compiled backend x {1, 2, 4} workers x
 //     {OpenMP-automatic, std::thread pool};
@@ -30,6 +31,7 @@
 #include "blas/blas.hpp"
 #include "check/differ.hpp"
 #include "check/generators.hpp"
+#include "check/reference.hpp"
 #include "guard/guard.hpp"
 #include "telemetry/registry.hpp"
 
@@ -69,22 +71,6 @@ void fill(std::mt19937_64& rng, std::vector<MultiFloat<T, N>>& v) {
     for (auto& x : v) x = check::gen<T, N>(rng, check::Category::ladder, cfg);
 }
 
-/// C = A B, one scalar kk-ascending add(mul(a, b), c) chain per element.
-template <typename T, int N>
-void reference_gemm(blas::ConstMatrixView<MultiFloat<T, N>> a,
-                    blas::ConstMatrixView<MultiFloat<T, N>> b,
-                    blas::MatrixView<MultiFloat<T, N>> c) {
-    for (std::size_t i = 0; i < c.rows; ++i) {
-        for (std::size_t j = 0; j < c.cols; ++j) {
-            MultiFloat<T, N> acc{};
-            for (std::size_t kk = 0; kk < a.cols; ++kk) {
-                acc = mf::add(mf::mul(a(i, kk), b(kk, j)), acc);
-            }
-            c(i, j) = acc;
-        }
-    }
-}
-
 struct Shape {
     const char* name;
     std::size_t n, k, m, pad;
@@ -113,7 +99,7 @@ void expect_aos_gemm_matches_reference(std::uint64_t seed) {
         fill<T, N>(rng, a.parent);
         fill<T, N>(rng, b.parent);
         Block<V> want(s.n, s.m, s.pad);
-        reference_gemm<T, N>(a.cview(), b.cview(), want.view());
+        check::reference_gemm<T, N>(a.cview(), b.cview(), want.view());
 
         const auto expect_same = [&](Block<V>& got, const std::string& label) {
             std::size_t bad = 0;
@@ -179,7 +165,7 @@ TEST(GemmPackedAos, OverwritesOnlyTheCView) {
         for (V& x : c.parent) x = marker;
         Block<V> want(6, 5, 4);
         for (V& x : want.parent) x = marker;
-        reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+        check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
         blas::gemm(a.cview(), b.cview(), c.view());
         for (std::size_t i = 0; i < c.parent.size(); ++i) {
             EXPECT_TRUE(same_bits(c.parent[i], want.parent[i])) << "k=" << k << " @" << i;
@@ -197,7 +183,7 @@ TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
     std::mt19937_64 rng(11);
     fill<double, 2>(rng, a.parent);
     fill<double, 2>(rng, b.parent);
-    reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+    check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
 
     const auto degraded = [] {
         std::uint64_t total = 0;

@@ -1,12 +1,11 @@
-// Thread-count invariance of the tiled and packed GEMMs (satellite of the
-// mf::check conformance layer): gemm_tiled and gemm_packed must be
-// bit-identical to the sequential planar GEMM no matter how many threads
-// execute them -- both partition whole output blocks, never a dot product,
-// so no reduction is ever reassociated -- and must serialize themselves when
-// called from inside an enclosing parallel region instead of
-// oversubscribing. gemm_packed is additionally swept across every available
-// SIMD backend and both threading substrates (OpenMP and the std::thread
-// fallback pool).
+// Thread-count invariance of the packed GEMM engine (satellite of the
+// mf::check conformance layer): gemm_packed must be bit-identical to the
+// scalar check::reference_gemm no matter how many workers execute it -- it
+// partitions whole output blocks, never a dot product, so no reduction is
+// ever reassociated -- and must serialize itself when called from inside an
+// enclosing parallel region instead of oversubscribing. Every case sweeps
+// all available SIMD backends and both threading substrates (OpenMP and the
+// std::thread fallback pool).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +16,8 @@ namespace {
 using namespace mf;
 using namespace mf::check;
 
+/// Every record clean (0 mismatches against check::reference_gemm), and
+/// under OpenMP the "nested" record present.
 void expect_all_clean(const std::vector<DiffRecord>& diffs) {
     ASSERT_FALSE(diffs.empty());
     bool nested_seen = false;
@@ -33,66 +34,55 @@ void expect_all_clean(const std::vector<DiffRecord>& diffs) {
 }
 
 TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble2) {
-    expect_all_clean(diff_gemm_threads<double, 2>(21, 23, 17, 19, {1, 2, 7, 16}));
+    expect_all_clean(diff_gemm_packed<double, 2>(21, 23, 17, 19, {1, 2, 7, 16}));
 }
 
 TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble4) {
-    expect_all_clean(diff_gemm_threads<double, 4>(22, 13, 11, 9, {1, 2, 7, 16}));
+    expect_all_clean(diff_gemm_packed<double, 4>(22, 13, 11, 9, {1, 2, 7, 16}));
 }
 
 TEST(GemmThreads, BitIdenticalAcrossThreadCountsFloat3) {
-    expect_all_clean(diff_gemm_threads<float, 3>(23, 15, 9, 14, {1, 2, 7, 16}));
+    expect_all_clean(diff_gemm_packed<float, 3>(23, 15, 9, 14, {1, 2, 7, 16}));
 }
 
-// Ragged problem sizes that don't divide the tile shape, under an
-// adversarial thread count larger than the tile grid.
+// Ragged problem sizes under a worker cap far above the number of micro-
+// tiles (the 1 x 1 x 1 product has a single one).
 TEST(GemmThreads, RaggedTilesOversubscribed) {
-    expect_all_clean(diff_gemm_threads<double, 3>(24, 5, 3, 7, {16}));
-    expect_all_clean(diff_gemm_threads<double, 2>(25, 1, 1, 1, {7}));
-}
-
-// --- packed engine -------------------------------------------------------
-// diff_gemm_packed sweeps backends x thread counts x {OpenMP, pool}; every
-// record must be clean (0 mismatches against sequential planar::gemm).
-
-void expect_packed_clean(const std::vector<DiffRecord>& diffs) {
-    ASSERT_FALSE(diffs.empty());
-    for (const DiffRecord& d : diffs) {
-        EXPECT_EQ(d.mismatches, 0u)
-            << d.kernel << " " << d.type << " N=" << d.limbs << " [" << d.backend << "]";
-    }
+    expect_all_clean(diff_gemm_packed<double, 3>(24, 5, 3, 7, {16}));
+    expect_all_clean(diff_gemm_packed<double, 2>(25, 1, 1, 1, {7}));
 }
 
 // Prime dims (none divides MR, NR, or any cache block) with auto blocks.
 TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsDouble2) {
-    expect_packed_clean(diff_gemm_packed<double, 2>(31, 23, 17, 19, {1, 2, 8}));
+    expect_all_clean(diff_gemm_packed<double, 2>(31, 23, 17, 19, {1, 2, 8}));
 }
 
 TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsDouble3) {
-    expect_packed_clean(diff_gemm_packed<double, 3>(32, 13, 11, 9, {1, 2, 8}));
+    expect_all_clean(diff_gemm_packed<double, 3>(32, 13, 11, 9, {1, 2, 8}));
 }
 
 TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsDouble4) {
-    expect_packed_clean(diff_gemm_packed<double, 4>(33, 11, 7, 9, {1, 2, 8}));
+    expect_all_clean(diff_gemm_packed<double, 4>(33, 11, 7, 9, {1, 2, 8}));
 }
 
 TEST(GemmPacked, BitIdenticalAcrossBackendsAndThreadsFloat2) {
-    expect_packed_clean(diff_gemm_packed<float, 2>(34, 15, 9, 14, {1, 2, 8}));
+    expect_all_clean(diff_gemm_packed<float, 2>(34, 15, 9, 14, {1, 2, 8}));
 }
 
 // Tiny pinned cache blocks: every macro-panel ends in mr/nr remainder
 // micro-tiles and the k loop spans several kc blocks, so the packed-edge
 // and partial-tile paths dominate.
 TEST(GemmPacked, TinyBlocksForceEdgeTiles) {
-    expect_packed_clean(diff_gemm_packed<double, 2>(35, 61, 67, 71, {1, 8},
-                                                    mf::check::GenConfig{},
-                                                    mf::blas::BlockShape{8, 8, 16}));
-    expect_packed_clean(diff_gemm_packed<double, 3>(36, 29, 31, 37, {2},
-                                                    mf::check::GenConfig{},
-                                                    mf::blas::BlockShape{8, 8, 16}));
+    expect_all_clean(diff_gemm_packed<double, 2>(35, 61, 67, 71, {1, 8},
+                                                 mf::check::GenConfig{},
+                                                 mf::blas::BlockShape{8, 8, 16}));
+    expect_all_clean(diff_gemm_packed<double, 3>(36, 29, 31, 37, {2},
+                                                 mf::check::GenConfig{},
+                                                 mf::blas::BlockShape{8, 8, 16}));
 }
 
-// Degenerate shapes must be exact no-ops (C untouched).
+// Degenerate shapes must be exact no-ops (C untouched): zero rows and k,
+// zero k, zero rows, zero columns.
 TEST(GemmPacked, DegenerateShapesAreNoOps) {
     using V = mf::MultiFloat<double, 2>;
     planar::Vector<double, 2> a, b, c(6);
@@ -101,6 +91,11 @@ TEST(GemmPacked, DegenerateShapesAreNoOps) {
                       planar::matrix_view(c, 0, 3));
     blas::gemm_packed(planar::matrix_view(a, 2, 0), planar::matrix_view(b, 0, 3),
                       planar::matrix_view(c, 2, 3));
+    planar::Vector<double, 2> a3(6), b3(6);
+    blas::gemm_packed(planar::matrix_view(a3, 0, 3), planar::matrix_view(b3, 3, 2),
+                      planar::matrix_view(c, 0, 2));
+    blas::gemm_packed(planar::matrix_view(a3, 2, 3), planar::matrix_view(b3, 3, 0),
+                      planar::matrix_view(c, 2, 0));
     for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(c.get(i).limb[0], double(i) + 0.5);
     }

@@ -3,7 +3,7 @@
 // Drives the guard::inject fault hooks through the real execution paths and
 // asserts the degradation contracts: a failed worker spawn is absorbed by
 // parallel_blocks_slots with every block still executed exactly once, a
-// failed packing allocation routes gemm_packed onto the planar fallback with
+// failed packing allocation routes gemm_packed onto the unpacked fallback with
 // a bit-identical result, and the full check::run_fault_matrix -- the same
 // matrix `mf_fuzz --inject` runs in CI -- comes back clean. Faults here are
 // injected, never real: the suite must pass on any machine.

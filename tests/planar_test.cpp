@@ -1,14 +1,16 @@
 // Planar (SoA) kernels: bit-exact agreement with the scalar kernels where
-// the operation order is identical (axpy, gemm), oracle-checked accuracy for
-// the reduction kernels (dot, gemv) whose accumulation order differs, and
-// layout round-trip invariants.
+// the operation order is identical (axpy, and gemm_packed against
+// check::reference_gemm), oracle-checked accuracy for the reduction kernels
+// (dot, gemv) whose accumulation order differs, and layout round-trip
+// invariants.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
-#include "blas/kernels.hpp"
-#include "blas/planar.hpp"
+#include "blas/blas.hpp"
+#include "check/reference.hpp"
 #include "support.hpp"
 
 namespace {
@@ -145,10 +147,12 @@ TYPED_TEST(PlanarTyped, GemmBitExactVsScalarKernel) {
         ba[i] = adversarial<T, N>(rng, -4, 4);
         b.set(i, ba[i]);
     }
-    planar::gemm(a, b, c, n, k, m);
-    blas::gemm<TypeParam>(blas::view(aa, n, k), blas::view(ba, k, m),
-                          blas::view(ca, n, m));
-    // Same ikj order, same fused update: bit-identical.
+    blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
+                      planar::matrix_view(c, n, m));
+    check::reference_gemm<T, N>(blas::view(std::as_const(aa), n, k),
+                                blas::view(std::as_const(ba), k, m),
+                                blas::view(ca, n, m));
+    // Same kk-ascending order, same fused update: bit-identical.
     for (std::size_t i = 0; i < n * m; ++i) {
         const TypeParam got = c.get(i);
         for (int p = 0; p < N; ++p) ASSERT_EQ(got.limb[p], ca[i].limb[p]) << i;

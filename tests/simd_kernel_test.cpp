@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <random>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/kernels.hpp"
 #include "blas/planar.hpp"
+#include "check/reference.hpp"
 #include "simd/simd.hpp"
 #include "support.hpp"
 
@@ -240,39 +242,6 @@ TYPED_TEST(SimdKernelTyped, DispatchedAxpyBitExactOnEveryBackend) {
     }
 }
 
-TYPED_TEST(SimdKernelTyped, TiledGemmBitIdenticalToPlanarGemm) {
-    using T = typename TypeParam::value_type;
-    constexpr int N = TypeParam::num_limbs;
-    std::mt19937_64 rng(25);
-    const std::size_t n = 13;
-    const std::size_t k = 11;
-    const std::size_t m = 17;
-    planar::Vector<T, N> a, b;
-    std::vector<TypeParam> aa, ba;
-    fill(rng, n * k, a, aa);
-    fill(rng, k * m, b, ba);
-    planar::Vector<T, N> want(n * m);
-    planar::gemm(a, b, want, n, k, m);
-    // Ragged tiles, degenerate tiles, and tiles larger than the problem must
-    // all reproduce the untiled ikj result exactly.
-    for (const simd::TileShape tile :
-         {simd::TileShape{4, 5, 3}, simd::TileShape{1, 1, 1},
-          simd::TileShape{64, 512, 64}, simd::TileShape{13, 17, 11}}) {
-        planar::Vector<T, N> c(n * m);
-        simd::gemm_tiled(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
-                         planar::matrix_view(c, n, m), tile);
-        for (std::size_t i = 0; i < n * m; ++i) {
-            const TypeParam got = c.get(i);
-            const TypeParam ref = want.get(i);
-            for (int p = 0; p < N; ++p) {
-                ASSERT_EQ(bits(got.limb[p]), bits(ref.limb[p]))
-                    << "tile{" << tile.ti << "," << tile.tj << "," << tile.tk
-                    << "} i=" << i;
-            }
-        }
-    }
-}
-
 TYPED_TEST(SimdKernelTyped, BlasKernelsUseBitExactPackPath) {
     using T = typename TypeParam::value_type;
     constexpr int N = TypeParam::num_limbs;
@@ -298,22 +267,16 @@ TYPED_TEST(SimdKernelTyped, BlasKernelsUseBitExactPackPath) {
     if (!want_d.is_zero()) {
         MF_EXPECT_REL_BOUND(d, want_d, N * p - N - 16);
     }
-    // gemm: pack path must equal the scalar ikj fused-update reference.
+    // gemm: pack path must equal the scalar fused-update reference.
     const std::size_t gn = 6, gk = 5, gm = 7;
     std::vector<TypeParam> ga(gn * gk), gb(gk * gm), gc(gn * gm), gref(gn * gm);
     for (auto& v : ga) v = adversarial<T, N>(rng, -4, 4);
     for (auto& v : gb) v = adversarial<T, N>(rng, -4, 4);
     blas::gemm<TypeParam>(blas::view(ga, gn, gk), blas::view(gb, gk, gm),
                           blas::view(gc, gn, gm));
-    for (std::size_t i = 0; i < gn; ++i) {
-        for (std::size_t j = 0; j < gm; ++j) gref[i * gm + j] = TypeParam{};
-        for (std::size_t kk = 0; kk < gk; ++kk) {
-            for (std::size_t j = 0; j < gm; ++j) {
-                gref[i * gm + j] =
-                    add(mul(ga[i * gk + kk], gb[kk * gm + j]), gref[i * gm + j]);
-            }
-        }
-    }
+    check::reference_gemm<T, N>(blas::view(std::as_const(ga), gn, gk),
+                                blas::view(std::as_const(gb), gk, gm),
+                                blas::view(gref, gn, gm));
     for (std::size_t i = 0; i < gn * gm; ++i) {
         for (int k = 0; k < N; ++k) {
             ASSERT_EQ(bits(gc[i].limb[k]), bits(gref[i].limb[k])) << i;

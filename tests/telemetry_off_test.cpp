@@ -17,9 +17,8 @@
 
 #include <gtest/gtest.h>
 
-#include "blas/planar.hpp"
+#include "blas/engine/gemm_packed.hpp"
 #include "mf/multifloats.hpp"
-#include "simd/tiling.hpp"
 #include "telemetry/telemetry.hpp"
 
 static_assert(MF_TELEMETRY_ENABLED == 0,
@@ -54,7 +53,8 @@ TEST(TelemetryOff, InstrumentedArithmeticRegistersNothing) {
     Registry::instance().set_trace_enabled(true);
 
     // Drive every instrumented layer: renorm networks, IEEE fixups, Newton
-    // health events, SIMD dispatch + kernels + the tiled GEMM spans.
+    // health events, SIMD dispatch + kernels + the packed GEMM's pack,
+    // micro-kernel and macro-panel counters and spans.
     using MF4 = mf::MultiFloat<double, 4>;
     const MF4 x(1.5), y(0x1p-80);
     (void)(x + y);
@@ -67,9 +67,9 @@ TEST(TelemetryOff, InstrumentedArithmeticRegistersNothing) {
         a.set(i, MF4(1.0 + double(i)));
         b.set(i, MF4(2.0));
     }
-    mf::simd::gemm_tiled(mf::planar::matrix_view(a, n, n),
-                         mf::planar::matrix_view(b, n, n),
-                         mf::planar::matrix_view(c, n, n));
+    mf::blas::gemm_packed(mf::planar::matrix_view(a, n, n),
+                          mf::planar::matrix_view(b, n, n),
+                          mf::planar::matrix_view(c, n, n));
 
     Registry::instance().set_trace_enabled(false);
     const Snapshot snap = Registry::instance().snapshot();

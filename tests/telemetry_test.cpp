@@ -17,8 +17,8 @@
 #include <thread>
 #include <vector>
 
-#include "blas/planar.hpp"
-#include "simd/tiling.hpp"
+#include "blas/engine/gemm_packed.hpp"
+#include "simd/dispatch.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -217,32 +217,38 @@ TEST(TelemetryWiring, GemmPopulatesDispatchRenormAndTileCounters) {
 #if !MF_TELEMETRY_ENABLED
     GTEST_SKIP() << "telemetry instrumentation compiled out";
 #else
+    constexpr std::size_t n = 8;
+    constexpr int N = 4;
+    mf::planar::Vector<double, N> a(n * n), b(n * n), c(n * n);
+    for (std::size_t i = 0; i < n * n; ++i) {
+        a.set(i, mf::MultiFloat<double, N>(1.0 + double(i) * 0x1p-20));
+        b.set(i, mf::MultiFloat<double, N>(2.0 - double(i) * 0x1p-21));
+    }
+    // Micro-tile geometry of the active backend (MR = 4 rows, NR = W columns
+    // at N = 4), read before the reset so its own lookup is not counted.
+    const auto w = static_cast<std::size_t>(mf::simd::active_width<double>());
     reg().reset();
     reg().set_trace_enabled(true);
-    constexpr std::size_t n = 8;
-    mf::planar::Vector<double, 4> a(n * n), b(n * n), c(n * n);
-    for (std::size_t i = 0; i < n * n; ++i) {
-        a.set(i, mf::MultiFloat<double, 4>(1.0 + double(i) * 0x1p-20));
-        b.set(i, mf::MultiFloat<double, 4>(2.0 - double(i) * 0x1p-21));
-    }
-    mf::simd::gemm_tiled(mf::planar::matrix_view(a, n, n),
-                         mf::planar::matrix_view(b, n, n),
-                         mf::planar::matrix_view(c, n, n));
+    mf::blas::gemm_packed(mf::planar::matrix_view(a, n, n),
+                          mf::planar::matrix_view(b, n, n),
+                          mf::planar::matrix_view(c, n, n));
     reg().set_trace_enabled(false);
 
     const Snapshot snap = reg().snapshot();
-    // One dispatch resolve (hoisted out of the tile loops), one row tile
-    // (n = 8 < the 32-row tile height), n^3 fused multiply-add kernel ops,
-    // and a renorm per element update.
+    // One dispatch resolve (hoisted out of the loop nest), one micro-kernel
+    // call per 4 x W tile, A and B each packed once in full, and a renorm
+    // per element update.
     EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_dispatch_total"), 1u);
-    const CounterSnap* tiles = find_counter(snap, "mf_gemm_tiles_total");
+    const CounterSnap* tiles = find_counter(snap, "mf_gemm_microkernel_total");
     ASSERT_NE(tiles, nullptr);
-    EXPECT_EQ(tiles->value, 1u);
-    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_kernel_ops_total"), n * n * n);
+    EXPECT_EQ(tiles->value, (n + 3) / 4 * ((n + w - 1) / w));
+    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_gemm_pack_bytes_total"),
+              2 * N * n * n * sizeof(double));
     EXPECT_GT(sum_counters_with_prefix(snap, "mf_renorm_accumulate_total"), 0u);
-    // The traced row tile must appear as a span and as a latency observation.
-    EXPECT_EQ(snap.spans.size(), 1u);
-    const HistogramSnap* lat = find_hist(snap, "mf_gemm_tile_ns");
+    // n = 8 fits one macro-panel: one traced span, one latency observation.
+    ASSERT_EQ(snap.spans.size(), 1u);
+    EXPECT_EQ(snap.spans[0].name, std::string("gemm_macro_panel"));
+    const HistogramSnap* lat = find_hist(snap, "mf_gemm_macro_panel_ns");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 1u);
 #endif

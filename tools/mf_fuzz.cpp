@@ -3,8 +3,8 @@
 // Hammers the extended-precision kernels with structure-aware adversarial
 // inputs, checks every in-domain sample against the exact BigFloat oracle
 // and the paper's error-bound table, diffs the scalar kernels against every
-// compiled SIMD backend (and sequential GEMM against the tiled/parallel
-// one), and emits CHECK_*.json telemetry in the BENCH_*.json style.
+// compiled SIMD backend (and the packed GEMM engine against the scalar
+// check::reference_gemm), and emits CHECK_*.json telemetry in the BENCH_*.json style.
 //
 // Usage:
 //   mf_fuzz [--op add|sub|mul|div|sqrt|all] [--type double|float|all]
@@ -373,10 +373,9 @@ int main(int argc, char** argv) {
             if (want(opt.limbs, "2")) {
                 auto d = diff_backends<double, 2>(opt.seed, 192, rounds, cfg, opt.backend);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
-                auto g = diff_gemm_threads<double, 2>(opt.seed, 17, 9, 13, threads, cfg);
-                report.diffs.insert(report.diffs.end(), g.begin(), g.end());
-                // Packed engine: prime shapes + tiny blocks force edge
-                // micro-tiles in every dimension.
+                // Packed engine vs check::reference_gemm: prime shapes + tiny
+                // blocks force edge micro-tiles in every dimension; the
+                // "nested" record checks the nesting guard.
                 auto p = diff_gemm_packed<double, 2>(opt.seed, 17, 9, 13, threads,
                                                      cfg, mf::blas::BlockShape{8, 8, 16});
                 report.diffs.insert(report.diffs.end(), p.begin(), p.end());
@@ -388,8 +387,6 @@ int main(int argc, char** argv) {
             if (want(opt.limbs, "4")) {
                 auto d = diff_backends<double, 4>(opt.seed, 192, rounds, cfg, opt.backend);
                 report.diffs.insert(report.diffs.end(), d.begin(), d.end());
-                auto g = diff_gemm_threads<double, 4>(opt.seed, 11, 7, 9, threads, cfg);
-                report.diffs.insert(report.diffs.end(), g.begin(), g.end());
                 auto p = diff_gemm_packed<double, 4>(opt.seed, 11, 7, 9, threads,
                                                      cfg, mf::blas::BlockShape{8, 8, 16});
                 report.diffs.insert(report.diffs.end(), p.begin(), p.end());
