@@ -16,26 +16,17 @@ using namespace mf;
 
 namespace {
 
+/// The shipped pairing layer + sweep (fpan::sweep_add_table) with RENORMS
+/// renormalization passes; RENORMS = 1 is mf::add for N >= 3.
 template <int N, int RENORMS>
 MultiFloat<double, N> add_variant(const MultiFloat<double, N>& x,
                                   const MultiFloat<double, N>& y) noexcept {
-    double v[2 * N];
-    {
-        const auto [s, e] = two_sum(x.limb[0], y.limb[0]);
-        v[0] = s;
-        double carry = e;
-        for (int i = 1; i < N; ++i) {
-            const auto [si, ei] = two_sum(x.limb[i], y.limb[i]);
-            v[2 * i - 1] = si;
-            v[2 * i] = carry;
-            carry = ei;
-        }
-        v[2 * N - 1] = carry;
+    double w[2 * N];
+    for (int i = 0; i < N; ++i) {
+        w[2 * i] = x.limb[i];
+        w[2 * i + 1] = y.limb[i];
     }
-    detail::accumulate<N, RENORMS>(v);
-    MultiFloat<double, N> z;
-    for (int i = 0; i < N; ++i) z.limb[i] = v[i];
-    return z;
+    return detail::run_fpan<fpan::sweep_add_table<N, RENORMS>()>(w);
 }
 
 template <int N>

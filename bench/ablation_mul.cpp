@@ -38,9 +38,8 @@ Float64x2 mul2_full(const Float64x2& x, const Float64x2& y) noexcept {
     const auto [p01, e01] = two_prod(x.limb[0], y.limb[1]);
     const auto [p10, e10] = two_prod(x.limb[1], y.limb[0]);
     const auto [p11, e11] = two_prod(x.limb[1], y.limb[1]);
-    double v[8] = {p00, p01, e00, p10, e01, p11, e10, e11};
-    detail::accumulate<2, 1>(v);
-    return Float64x2({v[0], v[1]});
+    double w[8] = {p00, p01, e00, p10, e01, p11, e10, e11};
+    return detail::run_fpan<fpan::sweep_table<8, 2>()>(w);
 }
 
 }  // namespace

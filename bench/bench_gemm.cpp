@@ -32,6 +32,7 @@
 #endif
 
 #include "blas/blas.hpp"
+#include "fpan/gates.hpp"
 #include "guard/guard.hpp"
 #include "harness.hpp"
 #include "simd/simd.hpp"
@@ -39,17 +40,6 @@
 namespace {
 
 using namespace mf;
-
-// Native flops per one extended-precision op (mul + add); same accounting as
-// bench_simd.cpp (eft gate costs of the shipped networks).
-constexpr double flops_per_op(int n_limbs) {
-    switch (n_limbs) {
-        case 2: return 29.0;
-        case 3: return 150.0;
-        case 4: return 289.0;
-        default: return 2.0;
-    }
-}
 
 /// Launder a size through a volatile so the trip counts are runtime values
 /// for every engine alike (no constant-propagated specializations).
@@ -72,7 +62,7 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
             int limbs, int width, double secs, double ops, std::size_t dim,
             int threads = 0) {
     const double ns = secs / ops * 1e9;
-    const double gflops = ops * flops_per_op(limbs) / secs / 1e9;
+    const double gflops = ops * fpan::madd_flops(limbs) / secs / 1e9;
     std::printf("  %-11s %-7s N=%d  %4zu^3  w=%-2d  %8.3f ns/op  %8.3f GFLOP-equiv/s",
                 kernel, type, limbs, dim, width, ns, gflops);
     if (threads > 0) std::printf("  threads=%d", threads);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "blas/engine/gemm_packed.hpp"
+#include "fpan/gates.hpp"
 #include "blas/planar.hpp"
 #include "harness.hpp"
 #include "simd/simd.hpp"
@@ -28,22 +29,6 @@
 namespace {
 
 using namespace mf;
-
-// Native flops per one extended-precision operation (one mul + one add),
-// counted from the shipped networks (eft gate costs: TwoSum 6, FastTwoSum 3,
-// TwoProd 2 flops):
-//   N=2: add2 20 + mul2  9 =  29
-//   N=3: add3 99 + mul3 51 = 150
-//   N=4: add4 168 + mul4 121 = 289
-// Used only to scale ns_per_op into a native-FLOP-equivalent throughput.
-constexpr double flops_per_op(int n_limbs) {
-    switch (n_limbs) {
-        case 2: return 29.0;
-        case 3: return 150.0;
-        case 4: return 289.0;
-        default: return 2.0;
-    }
-}
 
 // --- seed (pre-SIMD) planar loops, kept verbatim as the autovec baseline ---
 
@@ -153,7 +138,7 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
             int limbs, const std::string& backend, int width, double secs,
             double ops) {
     const double ns = secs / ops * 1e9;
-    const double gflops = ops * flops_per_op(limbs) / secs / 1e9;
+    const double gflops = ops * fpan::madd_flops(limbs) / secs / 1e9;
     std::printf("  %-6s %-7s N=%d  %-8s w=%-2d  %10.2f ns/op  %8.3f GFLOP-equiv/s\n",
                 kernel, type, limbs, backend.c_str(), width, ns, gflops);
     out.add({kernel, type, limbs, backend, width, ns, gflops});

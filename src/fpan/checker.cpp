@@ -169,19 +169,7 @@ CheckResult check_mul_random(const Network& net, int n, long long trials,
     for (long long t = 0; t < trials && res.pass; ++t) {
         const std::vector<double> x = random_expansion(rng, n);
         const std::vector<double> y = random_expansion(rng, n);
-        // Expansion step: fill wires according to the label layout.
-        for (std::size_t w = 0; w < labels.size(); ++w) {
-            const auto& lbl = labels[w];
-            const int i = lbl[1] - '0';
-            const int j = lbl[2] - '0';
-            const double px = x[static_cast<std::size_t>(i)];
-            const double py = y[static_cast<std::size_t>(j)];
-            if (lbl[0] == 'p') {
-                wires[w] = px * py;
-            } else {
-                wires[w] = std::fma(px, py, -(px * py));
-            }
-        }
+        expand_mul_wires(labels, x, y, wires);
         const BigFloat exact = exact_sum(x) * exact_sum(y);
         execute(net, std::span<double>(wires));
         std::vector<double> z;
@@ -348,13 +336,7 @@ CheckResult check_mul_exhaustive(const Network& net, int n, int p, int y_exp_ran
     std::vector<SoftFloat> z(static_cast<std::size_t>(n), SoftFloat(p));
     for (const auto& x : xs) {
         for (const auto& y : ys) {
-            for (std::size_t w = 0; w < labels.size(); ++w) {
-                const auto& lbl = labels[w];
-                const auto i = static_cast<std::size_t>(lbl[1] - '0');
-                const auto j = static_cast<std::size_t>(lbl[2] - '0');
-                const auto pe = soft::two_prod(x[i], y[j]);
-                wires[w] = lbl[0] == 'p' ? pe.prod : pe.err;
-            }
+            expand_mul_wires(labels, x, y, wires);
             SoftFloat exact = exact_sum_soft(x) * exact_sum_soft(y);
             execute(net, std::span<SoftFloat>(wires));
             for (std::size_t k = 0; k < net.outputs.size(); ++k) {

@@ -1,131 +1,44 @@
 #include "library.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace mf::fpan {
 
 namespace {
 
-constexpr auto A = GateKind::Add;
-constexpr auto T = GateKind::TwoSum;
-constexpr auto F = GateKind::FastTwoSum;
-
-/// Mirror of mf::detail::accumulate<N, RENORMS>: appends the distillation
-/// sweep + renormalization gates over the wire permutation `perm` (v-index
-/// -> wire index), matching renorm.hpp exactly.
-void append_accumulate(Network& net, const std::vector<int>& perm, int n,
-                       int renorms = 1) {
-    const int k = static_cast<int>(perm.size());
-    for (int pass = 0; pass < n; ++pass) {
-        for (int i = k - 2; i >= pass; --i) {
-            net.gates.push_back({T, perm[i], perm[i + 1]});
-        }
-    }
-    const int top = (n < k - 1) ? n : k - 1;
-    for (int r = 0; r < renorms; ++r) {
-        for (int i = 0; i < top; ++i) {
-            net.gates.push_back({F, perm[i], perm[i + 1]});
-        }
-    }
-    net.outputs.assign(perm.begin(), perm.begin() + n);
+void require_paper_size(const char* fn, int n) {
+    if (n < 2 || n > 4) throw std::invalid_argument(std::string(fn) + ": n must be 2..4");
 }
 
 }  // namespace
 
 Network make_add_network(int n) {
-    assert(n >= 2 && n <= 4);
-    Network net;
-    net.name = "add" + std::to_string(n);
-    net.num_wires = 2 * n;
-    if (n == 2) {
-        // Figure 2: size 6. Gate order mirrors mf::detail::add2.
-        net.gates = {{T, 0, 1}, {T, 2, 3}, {A, 2, 1}, {F, 0, 2}, {A, 3, 2}, {F, 0, 3}};
-        net.outputs = {0, 3};
-        return net;
-    }
-    // Pairing layer: TwoSum(x_i, y_i) leaves s_i on wire 2i, e_i on 2i+1.
-    for (int i = 0; i < n; ++i) net.gates.push_back({T, 2 * i, 2 * i + 1});
-    // v-order [s0, s1, e0, s2, e1, ..., e_{n-1}] as wire indices.
-    std::vector<int> perm;
-    perm.push_back(0);
-    for (int i = 1; i < n; ++i) {
-        perm.push_back(2 * i);      // s_i
-        perm.push_back(2 * i - 1);  // e_{i-1}
-    }
-    perm.push_back(2 * n - 1);  // e_{n-1}
-    append_accumulate(net, perm, n);
-    return net;
+    require_paper_size("make_add_network", n);
+    const std::string name = "add" + std::to_string(n);
+    return n == 2   ? to_network(name, add_table<2>)
+           : n == 3 ? to_network(name, add_table<3>)
+                    : to_network(name, add_table<4>);
 }
 
 std::vector<std::string> mul_network_labels(int n) {
+    require_paper_size("mul_network_labels", n);
     switch (n) {
         case 2:
             return {"p00", "e00", "p01", "p10"};
         case 3:
             return {"p00", "e00", "p01", "p10", "e01", "e10", "p02", "p20", "p11"};
-        case 4:
+        default:
             return {"p00", "e00", "p01", "p10", "e01", "e10", "p02", "p20",
                     "e02", "e20", "p11", "e11", "p03", "p30", "p12", "p21"};
-        default:
-            throw std::invalid_argument("mul_network_labels: n must be 2..4");
     }
 }
 
 Network make_mul_network(int n) {
-    assert(n >= 2 && n <= 4);
-    Network net;
-    net.name = "mul" + std::to_string(n);
-    net.num_wires = n * n;
-    if (n == 2) {
-        // Figure 5: size 3, depth 3. Wires: [p00, e00, p01, p10].
-        net.gates = {{A, 2, 3}, {A, 2, 1}, {F, 0, 2}};
-        net.outputs = {0, 2};
-        return net;
-    }
-    if (n == 3) {
-        // Wires: [p00, e00, p01, p10, e01, e10, p02, p20, p11].
-        // Mirrors mf::detail::mul3.
-        net.gates = {
-            {T, 2, 3},  // (t1, u1) = TwoSum(p01, p10)
-            {A, 4, 5},  // f1 = e01 + e10
-            {A, 6, 7},  // g1 = p02 + p20
-            {T, 2, 1},  // (w1, c1) = TwoSum(t1, e00)
-            {A, 3, 4},  // h = u1 + f1
-            {A, 3, 6},  // h += g1
-            {A, 3, 8},  // h += p11
-            {A, 3, 1},  // h += c1
-        };
-        append_accumulate(net, {0, 2, 3}, 3);
-        return net;
-    }
-    // n == 4. Wires: [p00, e00, p01, p10, e01, e10, p02, p20,
-    //                 e02, e20, p11, e11, p03, p30, p12, p21].
-    // Mirrors mf::detail::mul4.
-    net.gates = {
-        {T, 2, 3},    // (t1, u1) = TwoSum(p01, p10)
-        {T, 6, 7},    // (t2, u2) = TwoSum(p02, p20)
-        {T, 4, 5},    // (f1, g1) = TwoSum(e01, e10)
-        {A, 12, 13},  // q1 = p03 + p30
-        {A, 14, 15},  // q2 = p12 + p21
-        {A, 8, 9},    // q3 = e02 + e20
-        {T, 2, 1},    // (w1, c1) = TwoSum(t1, e00)
-        {T, 6, 4},    // (a, d1) = TwoSum(t2, f1)
-        {T, 6, 10},   // (a, d2) = TwoSum(a, p11)
-        {T, 6, 3},    // (a, d3) = TwoSum(a, u1)
-        {T, 6, 1},    // (a, d4) = TwoSum(a, c1)
-        {A, 7, 5},    // h = u2 + g1
-        {A, 7, 12},   // h += q1
-        {A, 7, 14},   // h += q2
-        {A, 7, 8},    // h += q3
-        {A, 7, 11},   // h += e11
-        {A, 7, 4},    // h += d1
-        {A, 7, 10},   // h += d2
-        {A, 7, 3},    // h += d3
-        {A, 7, 1},    // h += d4
-    };
-    append_accumulate(net, {0, 2, 6, 7}, 4);
-    return net;
+    require_paper_size("make_mul_network", n);
+    const std::string name = "mul" + std::to_string(n);
+    return n == 2   ? to_network(name, mul_table<2>)
+           : n == 3 ? to_network(name, mul_table<3>)
+                    : to_network(name, mul_table<4>);
 }
 
 Network make_naive_add_network(int n) {
@@ -133,7 +46,7 @@ Network make_naive_add_network(int n) {
     net.name = "naive_add" + std::to_string(n) + "_Eq9";
     net.num_wires = 2 * n;
     for (int i = 0; i < n; ++i) {
-        net.gates.push_back({A, 2 * i, 2 * i + 1});
+        net.gates.push_back({GateKind::Add, 2 * i, 2 * i + 1});
         net.outputs.push_back(2 * i);
     }
     return net;

@@ -8,14 +8,7 @@ namespace mf::fpan {
 
 int Network::depth() const noexcept {
     std::vector<int> d(static_cast<std::size_t>(num_wires), 0);
-    int best = 0;
-    for (const Gate& g : gates) {
-        const int nd = std::max(d[g.a], d[g.b]) + 1;
-        d[g.a] = nd;
-        d[g.b] = nd;
-        best = std::max(best, nd);
-    }
-    return best;
+    return chain_depth(gates, d);
 }
 
 int Network::num_discards() const noexcept {

@@ -2,41 +2,22 @@
 // Floating-point accumulation networks (FPANs) as first-class data.
 //
 // An FPAN (paper §3) is a branch-free algorithm given by a fixed sequence of
-// gates applied to a fixed set of wires. Three gate kinds exist:
+// gates (GateKind, gates.hpp) applied to a fixed set of wires.
 //
-//   Add:         w[a] <- w[a] (+) w[b]; the rounding error is DISCARDED and
-//                wire b goes dead (set to zero).
-//   TwoSum:      (w[a], w[b]) <- TwoSum(w[a], w[b])        (error-free)
-//   FastTwoSum:  (w[a], w[b]) <- FastTwoSum(w[a], w[b])    (error-free,
-//                requires exponent(w[a]) >= exponent(w[b]) or either zero)
-//
-// Keeping networks as data (alongside the hand-inlined kernels in mf/) lets
-// us (1) verify them with the empirical checker over SoftFloat/BigFloat,
-// (2) search for new ones by simulated annealing, (3) print the paper's
-// Figure 2-7 style diagrams, and (4) cross-check that the fast kernels
-// compute gate-for-gate the same thing (tests/fpan_consistency_test.cpp).
+// Keeping networks as data lets us (1) verify them with the empirical
+// checker over SoftFloat/BigFloat, (2) search for new ones by simulated
+// annealing, (3) print the paper's Figure 2-7 style diagrams, and (4) verify
+// exactly what ships: the paper networks are conversions of the constexpr
+// gate tables (gates.hpp) that mf::add / mf::mul run.
 
-#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "gates.hpp"
+
 namespace mf::fpan {
-
-enum class GateKind : std::uint8_t {
-    Add,         ///< rounded sum, error discarded
-    TwoSum,      ///< error-free transform, any magnitudes
-    FastTwoSum,  ///< error-free transform, |w[a]| must dominate
-};
-
-struct Gate {
-    GateKind kind;
-    int a;  ///< first wire (receives the sum)
-    int b;  ///< second wire (receives the error; dead after an Add gate)
-
-    friend bool operator==(const Gate&, const Gate&) = default;
-};
 
 struct Network {
     std::string name;

@@ -2,79 +2,76 @@
 // Branch-free addition and subtraction of nonoverlapping floating-point
 // expansions (paper §4.1, Figures 2-4).
 //
-// Every network begins with a layer of TwoSum gates pairing corresponding
-// terms (x_i, y_i) of the two input expansions. Because TwoSum is
-// commutative, the computed sum is bit-identical under swapping x and y.
-//
-// N = 2 uses the provably optimal 6-gate, depth-4 network of Figure 2
-// (the same gate sequence as the AccurateDWPlusDW double-word algorithm,
-// relative error <= 2^-(2p-1) |x + y|).
-//
-// N = 3, 4 use distillation-sweep networks (renorm.hpp) reconstructed from
-// the paper's description; the 4-term sweep matches the paper's gate count
-// (26 TwoSum-equivalent gates before final renormalization). Error bounds
-// 2^-(3p-3) and 2^-(4p-4) are enforced empirically by the test suite against
-// an exact BigFloat oracle; see DESIGN.md §2 for the substitution rationale.
+// The networks are constexpr gate tables in fpan/gates.hpp, the objects the
+// FPAN checker verifies; this file loads the operands onto their wires, runs
+// the table and reads the result. Each begins with TwoSum(x_i, y_i), so the
+// sum is bit-identical under swapping x and y. N = 2 is Figure 2's 6-gate
+// network (relative error <= 2^-(2p-1) |x + y|); N >= 3 are the pairing
+// layer plus the distill/renorm sweep, reconstructed from the paper's
+// description, whose bounds 2^-(3p-3), 2^-(4p-4) the test suite enforces
+// against an exact BigFloat oracle (DESIGN.md §2).
 
+#include <cstddef>
+#include <string>
+#include <utility>
+
+#include "../fpan/gates.hpp"
+#include "../telemetry/events.hpp"
 #include "eft.hpp"
 #include "multifloat.hpp"
-#include "renorm.hpp"
 
 namespace mf {
 
 namespace detail {
 
-/// Figure 2: provably optimal 2-term addition network (size 6, depth 4).
-template <FloatingPoint T>
-MF_ALWAYS_INLINE constexpr MultiFloat<T, 2> add2(const MultiFloat<T, 2>& x,
-                                const MultiFloat<T, 2>& y) noexcept {
-    const auto [s0, e0] = two_sum(x.limb[0], y.limb[0]);  // gate 1 (TwoSum)
-    const auto [s1, e1] = two_sum(x.limb[1], y.limb[1]);  // gate 2 (TwoSum)
-    const T c = s1 + e0;                                  // gate 3 (sum)
-    const auto [v0, v1] = fast_two_sum(s0, c);            // gate 4 (FastTwoSum)
-    const T w = e1 + v1;                                  // gate 5 (sum)
-    const auto [z0, z1] = fast_two_sum(v0, w);            // gate 6 (FastTwoSum)
-    return MultiFloat<T, 2>({z0, z1});
+template <auto Table, FloatingPoint T, std::size_t... O>
+MF_ALWAYS_INLINE constexpr MultiFloat<T, sizeof...(O)> gather(
+    const T (&w)[Table.num_wires], std::index_sequence<O...>) noexcept {
+    return MultiFloat<T, sizeof...(O)>({w[Table.outputs[O]]...});
 }
 
-/// Generic N-term addition: pairing layer + distillation sweep.
-/// The 2N intermediate values are ordered by expected magnitude:
-/// [s0, s1, e0, s2, e1, ..., s_{N-1}, e_{N-2}, e_{N-1}].
-template <FloatingPoint T, int N>
-MF_ALWAYS_INLINE constexpr MultiFloat<T, N> add_sweep(const MultiFloat<T, N>& x,
-                                     const MultiFloat<T, N>& y) noexcept {
-    T v[2 * N];
-    {
-        const auto [s, e] = two_sum(x.limb[0], y.limb[0]);
-        v[0] = s;
-        T carry = e;
-        for (int i = 1; i < N; ++i) {
-            const auto [si, ei] = two_sum(x.limb[i], y.limb[i]);
-            v[2 * i - 1] = si;
-            v[2 * i] = carry;
-            carry = ei;
-        }
-        v[2 * N - 1] = carry;
+/// Run the shipped FPAN `Table` in place over the wires `w` and return its
+/// outputs. A sweep counts one mf_renorm_accumulate_total{k=sweep width}
+/// event as it starts (once per pack for packs); the macro skips constant
+/// evaluation, so the networks stay constexpr.
+template <auto Table, FloatingPoint T>
+MF_ALWAYS_INLINE constexpr auto run_fpan(T (&w)[Table.num_wires]) noexcept {
+    fpan::run<Table, 0, Table.sweep_begin>(w);
+    if constexpr (Table.sweep_width > 0) {
+        MF_TELEM_COUNT(std::string("mf_renorm_accumulate_total{k=\"") +
+                       std::to_string(Table.sweep_width) + "\"}");
     }
-    detail::accumulate<N>(v);
-    MultiFloat<T, N> z;
-    for (int i = 0; i < N; ++i) z.limb[i] = v[i];
-    return z;
+    fpan::run<Table, Table.sweep_begin>(w);
+    return gather<Table>(w, std::make_index_sequence<Table.outputs.size()>{});
+}
+
+/// x + y on the wires [x0, y0, x1, y1, ...] of fpan::add_table<N>.
+template <FloatingPoint T, int N, std::size_t... I>
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N> add(const MultiFloat<T, N>& x,
+                                                const MultiFloat<T, N>& y,
+                                                std::index_sequence<I...>) noexcept {
+    T w[] = {(I % 2 == 0 ? x.limb[I / 2] : y.limb[I / 2])...};
+    return run_fpan<fpan::add_table<N>>(w);
+}
+
+/// x + y on the wires [x0, ..., x_{N-1}, y] of fpan::add_scalar_table<N>.
+template <FloatingPoint T, int N, std::size_t... I>
+MF_ALWAYS_INLINE constexpr MultiFloat<T, N> add(const MultiFloat<T, N>& x, T y,
+                                                std::index_sequence<I...>) noexcept {
+    T w[] = {x.limb[I]..., y};
+    return run_fpan<fpan::add_scalar_table<N>>(w);
 }
 
 }  // namespace detail
 
-/// Expansion addition: dispatches to the optimal fixed network for N = 1, 2
-/// and to the sweep network for larger N.
+/// Expansion addition.
 template <FloatingPoint T, int N>
 [[nodiscard]] MF_ALWAYS_INLINE constexpr MultiFloat<T, N> add(const MultiFloat<T, N>& x,
                                              const MultiFloat<T, N>& y) noexcept {
     if constexpr (N == 1) {
         return MultiFloat<T, 1>(x.limb[0] + y.limb[0]);
-    } else if constexpr (N == 2) {
-        return detail::add2(x, y);
     } else {
-        return detail::add_sweep(x, y);
+        return detail::add(x, y, std::make_index_sequence<2 * N>{});
     }
 }
 
@@ -92,20 +89,7 @@ template <FloatingPoint T, int N>
     if constexpr (N == 1) {
         return MultiFloat<T, 1>(x.limb[0] + y);
     } else {
-        T v[N + 1];
-        const auto [s0, e0] = two_sum(x.limb[0], y);
-        v[0] = s0;
-        T carry = e0;
-        for (int i = 1; i < N; ++i) {
-            const auto [si, ei] = two_sum(x.limb[i], carry);
-            v[i] = si;
-            carry = ei;
-        }
-        v[N] = carry;
-        detail::accumulate<N, 1>(v);
-        MultiFloat<T, N> z;
-        for (int i = 0; i < N; ++i) z.limb[i] = v[i];
-        return z;
+        return detail::add(x, y, std::make_index_sequence<N>{});
     }
 }
 

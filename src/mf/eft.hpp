@@ -61,9 +61,14 @@ struct ProdErr {
 /// inputs regardless of their relative magnitudes.
 ///
 /// Returns (s, e) with s = RN(a + b) and e = (a + b) - s exactly.
+///
+/// The value returned through the result pair is a non-const local, here
+/// and in the EFTs below: GCC does not scalarize a const pack local once it
+/// is stored after inlining, and the temporary left in memory blocks
+/// unroll-and-jam of the GEMM micro-kernel's k loop.
 template <FloatingPoint T>
 [[nodiscard]] MF_ALWAYS_INLINE constexpr SumErr<T> two_sum(T a, T b) noexcept {
-    const T s = a + b;
+    T s = a + b;
     const T a_eff = s - b;   // the portion of s contributed by a
     const T b_eff = s - a_eff;
     const T da = a - a_eff;  // exact: what a lost
@@ -78,7 +83,7 @@ template <FloatingPoint T>
 /// Returns (s, e) with s = RN(a + b) and e = (a + b) - s exactly.
 template <FloatingPoint T>
 [[nodiscard]] MF_ALWAYS_INLINE constexpr SumErr<T> fast_two_sum(T a, T b) noexcept {
-    const T s = a + b;
+    T s = a + b;
     const T b_eff = s - a;   // exact under the precondition
     return {s, b - b_eff};
 }
@@ -90,7 +95,7 @@ template <FloatingPoint T>
 template <FloatingPoint T>
 [[nodiscard]] MF_ALWAYS_INLINE ProdErr<T> two_prod(T a, T b) noexcept {
     using std::fma;  // unqualified: ADL picks up pack-level fma for SIMD types
-    const T p = a * b;
+    T p = a * b;
     return {p, fma(a, b, -p)};
 }
 

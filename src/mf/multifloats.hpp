@@ -24,4 +24,3 @@
 #include "multifloat.hpp"
 #include "random.hpp"
 #include "reduce.hpp"
-#include "renorm.hpp"

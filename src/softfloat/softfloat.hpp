@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <compare>
 
+#include "../mf/eft.hpp"
+
 namespace mf::soft {
 
 class SoftFloat {
@@ -104,3 +106,7 @@ void for_each_value(int precision, std::int64_t emin, std::int64_t emax, F&& f) 
 }
 
 }  // namespace mf::soft
+
+/// SoftFloat rounds +, - and * like an IEEE scalar, so FPAN gates run on it.
+template <>
+inline constexpr bool mf::is_fpan_value_v<mf::soft::SoftFloat> = true;

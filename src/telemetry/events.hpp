@@ -19,8 +19,9 @@
 // construction -- runs exactly once per site; the steady-state cost of a
 // count is a thread-local relaxed load/store pair.
 //
-// Constant-evaluation discipline: several instrumented kernels (renorm.hpp's
-// accumulate, add.hpp's networks) are constexpr. Every macro is guarded by
+// Constant-evaluation discipline: several instrumented kernels (add.hpp's
+// networks, which count their renorm sweep in detail::run_fpan) are
+// constexpr. Every macro is guarded by
 // std::is_constant_evaluated(), so instrumented kernels stay usable in
 // static_asserts and constant initializers; only runtime calls count.
 

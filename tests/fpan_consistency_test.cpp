@@ -1,6 +1,8 @@
-// The fast hand-inlined kernels in mf/ and the checkable Network mirrors in
-// fpan/library.cpp must compute gate-for-gate identical results: any drift
-// would mean the verified object is not the shipped object.
+// mf::add / mf::mul and the checked Networks come from the same gate tables
+// (fpan/gates.hpp). These cases guard what is still written twice: the wire
+// layout (the kernels' operand loading and TwoProd expansion step vs the
+// checker's interleaving and mul_network_labels), and the agreement of the
+// kernels' fpan::run with the checker's runtime fpan::execute.
 
 #include <gtest/gtest.h>
 
@@ -48,15 +50,7 @@ void check_mul_consistency(std::uint64_t seed, int iters) {
         const auto x = adversarial<double, N>(rng, -12, 12);
         const auto y = adversarial<double, N>(rng, -12, 12);
         std::vector<double> w(labels.size());
-        for (std::size_t k = 0; k < labels.size(); ++k) {
-            const auto i = static_cast<std::size_t>(labels[k][1] - '0');
-            const auto j = static_cast<std::size_t>(labels[k][2] - '0');
-            if (labels[k][0] == 'p') {
-                w[k] = x.limb[i] * y.limb[j];
-            } else {
-                w[k] = std::fma(x.limb[i], y.limb[j], -(x.limb[i] * y.limb[j]));
-            }
-        }
+        expand_mul_wires(labels, x.limb, y.limb, w);
         execute(net, std::span<double>(w));
         const auto z = mul(x, y);
         for (int k = 0; k < N; ++k) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "fpan/gates.hpp"
 #include "fpan/library.hpp"
 #include "fpan/network.hpp"
 
@@ -10,10 +13,17 @@ namespace {
 
 using namespace mf::fpan;
 
+// Shipped sizes and depths; add2 is the depth-5 AccurateDWPlusDW realization.
+static_assert(add_table<2>.size() == 6 && add_table<2>.depth() == 5);
+static_assert(mul_table<2>.size() == 3 && mul_table<2>.depth() == 3);
+static_assert(add_table<3>.size() == 18);
+static_assert(add_table<4>.size() == 30);
+static_assert(mul_table<3>.size() == 13);
+static_assert(mul_table<4>.size() == 29);
+
 TEST(Network, SizeDepthOfFigure2) {
     const Network n = make_add_network(2);
     EXPECT_EQ(n.size(), 6);       // paper Figure 2: size 6
-    EXPECT_LE(n.depth(), 5);      // AccurateDWPlusDW realization: depth 5
     EXPECT_EQ(n.num_discards(), 2);
     EXPECT_TRUE(n.well_formed());
     EXPECT_EQ(n.outputs.size(), 2u);
@@ -31,10 +41,15 @@ TEST(Network, SweepNetworksMatchPaperScale) {
     // networks (see DESIGN.md §2).
     EXPECT_EQ(make_add_network(3).size(), 18);  // paper: 14
     EXPECT_EQ(make_add_network(4).size(), 30);  // paper: 26
-    EXPECT_LE(make_mul_network(3).size(), 15);  // paper: 12
-    EXPECT_LE(make_mul_network(4).size(), 32);  // paper: 27
     for (const Network& n : paper_networks()) {
         EXPECT_TRUE(n.well_formed()) << n.name;
+    }
+}
+
+TEST(Network, MakeRejectsUnsupportedSizes) {
+    for (int n : {0, 1, 5}) {
+        EXPECT_THROW((void)make_add_network(n), std::invalid_argument) << n;
+        EXPECT_THROW((void)make_mul_network(n), std::invalid_argument) << n;
     }
 }
 

@@ -65,17 +65,7 @@ TEST(NetworkRegression, SweepWithoutRenormOverlapsAtSmallP) {
     // FastTwoSum renormalization pass leaves a 1-bit nonoverlap violation for
     // n = 3 that 400k randomized double-precision trials did NOT catch. This
     // is the paper's core argument for exhaustive/formal verification.
-    Network net;
-    net.name = "add3_no_renorm";
-    net.num_wires = 6;
-    for (int i = 0; i < 3; ++i) net.gates.push_back({GateKind::TwoSum, 2 * i, 2 * i + 1});
-    const int perm[6] = {0, 2, 1, 4, 3, 5};
-    for (int pass = 0; pass < 3; ++pass) {
-        for (int i = 4; i >= pass; --i) {
-            net.gates.push_back({GateKind::TwoSum, perm[i], perm[i + 1]});
-        }
-    }
-    net.outputs = {0, 2, 1};
+    const Network net = to_network("add3_no_renorm", sweep_add_table<3, 0>());
     ASSERT_TRUE(net.well_formed());
     const CheckResult r = check_add_exhaustive(net, 3, 3, 2, 2);
     EXPECT_FALSE(r.pass);

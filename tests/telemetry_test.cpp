@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "blas/engine/gemm_packed.hpp"
+#include "mf/multifloats.hpp"
 #include "simd/dispatch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -48,6 +49,12 @@ std::uint64_t sum_counters_with_prefix(const Snapshot& s, const std::string& pre
     }
     return total;
 }
+
+// With telemetry compiled in, the counted networks still constant-evaluate.
+using MF3 = mf::MultiFloat<double, 3>;
+using MF4 = mf::MultiFloat<double, 4>;
+static_assert(mf::add(mf::add(MF3(1.0), MF3(0x1p-70)), 0x1p-140).limb[2] == 0x1p-140);
+static_assert(mf::add(mf::add(MF4(1.0), MF4(0x1p-70)), 0x1p-140).limb[2] == 0x1p-140);
 
 TEST(TelemetryRegistry, ConcurrentShardedIncrementsMergeExactly) {
     reg().reset();
@@ -251,6 +258,32 @@ TEST(TelemetryWiring, GemmPopulatesDispatchRenormAndTileCounters) {
     const HistogramSnap* lat = find_hist(snap, "mf_gemm_macro_panel_ns");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 1u);
+#endif
+}
+
+TEST(TelemetryWiring, RenormCountsOnePerSweepingNetwork) {
+#if !MF_TELEMETRY_ENABLED
+    GTEST_SKIP() << "telemetry instrumentation compiled out";
+#else
+    using MF2 = mf::MultiFloat<double, 2>;
+    const double t = 0x1p-70;
+    reg().reset();
+    (void)mf::add(MF2(1.0), MF2(t));  // Figure 2: no sweep
+    (void)mf::mul(MF2(1.0), MF2(t));  // Figure 5: no sweep
+    (void)mf::add(MF3(1.0), MF3(t));  // k = 2N = 6
+    (void)mf::add(MF4(1.0), MF4(t));  // k = 8
+    (void)mf::mul(MF3(1.0), MF3(t));  // k = N = 3
+    (void)mf::mul(MF4(1.0), MF4(t));  // k = 4
+    (void)mf::add(MF3(1.0), t);       // k = N + 1 = 4
+    (void)mf::mul(MF3(1.0), t);       // k = 2N - 1 = 5
+    const Snapshot snap = reg().snapshot();
+    for (const auto& [k, calls] : {std::pair{3, 1u}, {4, 2u}, {5, 1u}, {6, 1u}, {8, 1u}}) {
+        const std::string name = "mf_renorm_accumulate_total{k=\"" + std::to_string(k) + "\"}";
+        const CounterSnap* c = find_counter(snap, name);
+        ASSERT_NE(c, nullptr) << name;
+        EXPECT_EQ(c->value, calls) << name;
+    }
+    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_renorm_accumulate_total"), 6u);
 #endif
 }
 

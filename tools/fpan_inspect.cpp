@@ -7,6 +7,9 @@
 //   fpan_inspect --search [it]   run the simulated-annealing search for the
 //                                2-term addition network (paper §4.1)
 //   fpan_inspect --exhaustive    run the heavyweight exhaustive campaigns
+//
+// Exits 1 if a shipped network fails a campaign, or if the naive Eq. 9
+// network passes one (the checker would then be blind).
 
 #include <cstdio>
 #include <cstring>
@@ -36,7 +39,8 @@ PaperRef paper_ref(const std::string& name) {
     return {"-", 0, 0};
 }
 
-void report(const Network& net, bool exhaustive) {
+/// Print `net` and run its campaigns; returns whether every campaign passed.
+bool report(const Network& net, bool exhaustive) {
     const bool is_mul = net.name.rfind("mul", 0) == 0;
     const int n = net.name.back() - '0';
     const PaperRef ref = paper_ref(net.name);
@@ -59,12 +63,15 @@ void report(const Network& net, bool exhaustive) {
             std::printf("  exhaustive: skipped (state space too large for n=%d %s)\n",
                         n, is_mul ? "mul" : "add");
             std::printf("\n");
-            return;
+            return r.pass;
         }
         std::printf("  exhaustive (p=3, %lld cases): %s, worst overlap %d bits\n",
                     e.cases, e.pass ? "PASS" : "FAIL", e.worst_overlap_bits);
+        std::printf("\n");
+        return r.pass && e.pass;
     }
     std::printf("\n");
+    return r.pass;
 }
 
 }  // namespace
@@ -83,13 +90,15 @@ int main(int argc, char** argv) {
     }
 
     std::printf("=== FPAN library (reproductions of paper Figures 2-7) ===\n\n");
-    for (const Network& net : paper_networks()) report(net, exhaustive);
+    bool ok = true;
+    for (const Network& net : paper_networks()) ok = report(net, exhaustive) && ok;
 
     std::printf("=== Naive term-by-term sum (Eq. 9 strawman) ===\n");
     const Network naive = make_naive_add_network(2);
     const CheckResult bad = check_add_random(naive, 2, 2000, 5, paper_add_bound_bits(2, 53));
     std::printf("%s  -> %s after %lld cases (expected: FAIL; this is why FPANs exist)\n\n",
                 naive.serialize().c_str(), bad.pass ? "PASS" : "FAIL", bad.cases);
+    ok = ok && !bad.pass;
 
     if (trim) {
         std::printf("=== Greedy gate minimization (paper search, deterministic half) ===\n");
@@ -157,5 +166,6 @@ int main(int argc, char** argv) {
                         out.iterations);
         }
     }
-    return 0;
+    if (!ok) std::printf("FAILED: a shipped network failed, or the naive one passed\n");
+    return ok ? 0 : 1;
 }
