@@ -3,8 +3,10 @@
 // planar entry, blas::gemm_packed, on cubes of every expansion length; the
 // second times the public AoS entry, blas::gemm on Float64x2 vectors (the
 // same engine reading interleaved storage): the small cubes there are where
-// the engine's ic x jr split decides whether extra cores help. A last line
-// prints the engine's fork/join cost.
+// the engine's ic x jr split decides whether extra cores help. Then a line
+// prints the engine's fork/join cost, and a last section times small
+// blas::axpy / blas::dot calls against their raw SIMD kernels (the public
+// entry's fixed cost: "blas_entry" records with a ceiling_ns).
 //
 // The engine is the library's only GEMM: its result is bit-identical to the
 // scalar check::reference_gemm for every worker count (the conformance tier
@@ -139,6 +141,68 @@ void run_blas_gemm(bench::JsonReport& out, std::size_t dim, double min_time) {
 #endif
 }
 
+/// Fixed cost of a small public level-1 call: blas::axpy and blas::dot on n
+/// in {8, 64} Float64x2 elements under MF_GUARD_POLICY warn and ignore, one
+/// record per call with ns_per_op = ns per call. Each record's ceiling_ns is
+/// the raw simd::axpy_aos / dot_aos kernel on the same data, so the gap is
+/// what the entry adds: the guard sentinel, the fork decision and the view
+/// checks. Calls are timed in batches; a single call is near the clock's
+/// resolution.
+void run_blas_entry(bench::JsonReport& out, double min_time) {
+    using V = MultiFloat<double, 2>;
+    constexpr int kBatch = 256;
+    const guard::Policy saved = guard::policy();
+    const int width = simd::active_width<double>();
+    for (std::size_t dim : {8, 64}) {
+        const std::size_t n = runtime_size(dim);
+        std::mt19937_64 rng(6);
+        std::vector<V> x(n), y(n);
+        for (V& v : x) v = V(bench::fill_value(rng));
+        for (V& v : y) v = V(bench::fill_value(rng));
+        const V alpha(bench::fill_value(rng));
+        volatile double sink = 0.0;
+        const auto per_call = [&](auto&& call) {
+            return bench::median_time(
+                       [&] {
+                           for (int i = 0; i < kBatch; ++i) call();
+                       },
+                       min_time) /
+                   kBatch;
+        };
+        const auto entry = [&](const char* op, auto&& call, double ceiling) {
+            for (const guard::Policy p : {guard::Policy::warn, guard::Policy::ignore}) {
+                guard::set_policy(p);
+                const double secs = per_call(call);
+                std::printf("  %-11s %-4s   n=%-3zu guard=%-6s %8.1f ns/call  (kernel %6.1f ns)\n",
+                            "blas_entry", op, n, guard::policy_name(p), secs * 1e9,
+                            ceiling * 1e9);
+                bench::JsonRecord r{"blas_entry", "double", 2,
+                                    simd::backend_name(simd::active_backend()), width,
+                                    secs * 1e9,
+                                    double(n) * fpan::madd_flops(2) / (secs * 1e9), n};
+                r.op = op;
+                r.guard = guard::policy_name(p);
+                r.ceiling_ns = ceiling * 1e9;
+                out.add(std::move(r));
+            }
+            guard::set_policy(saved);
+        };
+        entry(
+            "axpy",
+            [&] {
+                blas::axpy(alpha, blas::view(std::as_const(x)), blas::view(y));
+            },
+            per_call([&] { simd::axpy_aos<double, 2>(alpha, x.data(), y.data(), n); }));
+        entry(
+            "dot",
+            [&] {
+                sink = blas::dot(blas::view(std::as_const(x)), blas::view(std::as_const(y)))
+                           .limb[0];
+            },
+            per_call([&] { sink = simd::dot_aos<double, 2>(x.data(), y.data(), n).limb[0]; }));
+    }
+}
+
 /// Cost of one engine fork/join: an empty parallel_blocks_slots region with
 /// one block per worker, for a constant team and for a team that alternates
 /// between 2 and 4 workers (an OpenMP runtime may retire the surplus threads
@@ -200,6 +264,8 @@ int main(int argc, char** argv) {
     std::printf("bench_gemm: AoS blas::gemm, Float64x2, 1/2/4 workers\n");
     for (std::size_t dim : {64, 128, 256}) run_blas_gemm(out, dim, min_time);
     report_fork_join(min_time);
+    std::printf("bench_gemm: public level-1 entry cost, Float64x2\n");
+    run_blas_entry(out, min_time);
 
     if (!out.write(path)) return 1;
     std::printf("bench_gemm: wrote %s\n", path.c_str());

@@ -120,6 +120,10 @@ struct JsonRecord {
     std::size_t dim = 0;  // problem dimension (GEMM n of n^3), 0 = n/a
     int threads = 0;      // workers the record ran with; 0 = runtime default
                           // (the document-level "threads" stamp), omitted
+    // Optional, omitted when empty/zero:
+    std::string op{};        // the entry a "blas_entry" record timed: "axpy", "dot"
+    std::string guard{};     // MF_GUARD_POLICY the record ran under
+    double ceiling_ns = 0.0; // the same work without the entry's fixed costs
 };
 
 /// Collects JsonRecords and writes one self-describing JSON document.

@@ -180,16 +180,15 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
             mc = std::min(mc, ((n + row_blocks - 1) / row_blocks + MR - 1) / MR * MR);
         }
         // Pack scratch: the shared B panel, then one A block per worker slot,
-        // each padded to whole cache lines, in one allocation -- a call's
-        // scratch is a single heap chunk the next call can reuse, where
-        // separate panel allocations fragment the heap call after call.
+        // each padded to whole cache lines, in the calling thread's one
+        // scratch block (thread_scratch), which later calls reuse.
         constexpr std::size_t line = AlignedBuffer<T>::alignment / sizeof(T);
         const auto lines = [](std::size_t len) { return (len + line - 1) / line * line; };
         const std::size_t b_len = lines(static_cast<std::size_t>(N) * std::min(bs.kc, k) *
                                         std::min(bs.nc, m));
         const std::size_t a_len = lines(static_cast<std::size_t>(N) * std::min(mc, n) *
                                         std::min(bs.kc, k));
-        AlignedBuffer<T> scratch;
+        AlignedBuffer<T>& scratch = thread_scratch<T>();
         try {
             // Reserve the worst-case footprint up front. C is untouched
             // until this succeeds, so a bad_alloc here (real or injected)

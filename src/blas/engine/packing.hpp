@@ -37,9 +37,7 @@ namespace mf::blas::engine {
 /// The block is a plain allocation of n elements plus one alignment's slack,
 /// aligned by hand. An aligned operator new (glibc memalign) needs a free
 /// chunk larger than the request, so it cannot reuse the hole its own
-/// previous same-size block left behind; with one scratch block per GEMM
-/// call, that pushed every other call to fresh heap and grew the resident
-/// set call after call.
+/// previous same-size block left behind.
 template <typename T>
 class AlignedBuffer {
 public:
@@ -53,11 +51,12 @@ public:
     /// Ensure capacity for n elements; returns the (aligned) base pointer.
     /// Throws std::bad_alloc on exhaustion (real or injected) -- callers that
     /// must not fail mid-computation reserve their worst case up front (the
-    /// packed GEMM does). Each real allocation is one fault-injection point.
+    /// packed GEMM does). Each reservation is one fault-injection point,
+    /// whether or not it has to allocate.
     T* ensure(std::size_t n) {
+        if (guard::inject::should_fail_alloc()) throw std::bad_alloc{};
         if (n > cap_) {
             release();
-            if (guard::inject::should_fail_alloc()) throw std::bad_alloc{};
             raw_ = ::operator new(n * sizeof(T) + alignment);
             const auto addr = reinterpret_cast<std::uintptr_t>(raw_);
             p_ = reinterpret_cast<T*>((addr + alignment - 1) & ~(alignment - 1));
@@ -80,6 +79,19 @@ private:
     T* p_ = nullptr;
     std::size_t cap_ = 0;
 };
+
+/// The calling thread's pack scratch for base type T, kept across calls.
+/// Allocating and freeing a block of a few hundred KiB per GEMM call left
+/// it open to whatever small allocation landed in or just above the freed
+/// block, after which the next call had to extend the heap: the resident
+/// set then depended on allocation order (EXPERIMENTS.md, "BLAS entry at
+/// arithmetic cost"). The block is bounded by the cache-block shape, not
+/// the problem size, and is freed when the thread exits.
+template <typename T>
+AlignedBuffer<T>& thread_scratch() {
+    thread_local AlignedBuffer<T> buf;
+    return buf;
+}
 
 /// Pack the (mcb x kcb) block of A at (i0, k0) into `dst` (N * mcb * kcb
 /// limbs), plane-major. `a` is a layout accessor (layout.hpp). On return

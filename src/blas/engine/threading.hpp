@@ -1,6 +1,7 @@
 #pragma once
 // Static owner-computes parallelism for the packed GEMM engine
-// (DESIGN.md §11), with graceful degradation (DESIGN.md §12).
+// (DESIGN.md §11) and, through parallel_for, for the level-1/2 blas::
+// kernels, with graceful degradation (DESIGN.md §12).
 //
 // gemm_packed parallelizes over work items: an mc-row block of C, or (when
 // there are fewer row blocks than workers) one column range of jr
@@ -19,9 +20,9 @@
 //   * a std::thread fallback pool, used when OpenMP is not compiled in, or
 //     on request (ThreadMode::pool) so OpenMP builds can still exercise and
 //     differential-test the fallback path.
-// Workers are forked per call; plan_partition never hands a worker less
-// work than the fork costs, and a persistent pool would be one more global
-// to tear down.
+// Workers are forked per call; plan_partition (GEMM) and parallel_for
+// (level-1/2 kernels) never fork for less work than the fork costs, and a
+// persistent pool would be one more global to tear down.
 //
 // FP environment: a caller whose guard sentinel enforced a nominal
 // environment asks for `nominal_env`, and every worker other than the
@@ -239,6 +240,50 @@ void parallel_blocks(std::size_t nblocks, F&& fn,
     parallel_blocks_slots(
         nblocks, [&fn](std::size_t blk, unsigned) { fn(blk); }, mode,
         max_threads);
+}
+
+/// Multiply-adds a level-1/2 blas:: call (axpy, dot, gemv, scal, ger, the
+/// generic gemm) must carry before parallel_for forks. With OpenMP the fork
+/// reuses the runtime's warm team: on a 4-core AVX-512 Xeon one fork/join
+/// costs 2.2-2.5 us, and a Float64x2 AoS axpy or ger row runs at about
+/// 6-7 ns per madd, so a 4-worker split pays from roughly 500 madds on
+/// (EXPERIMENTS.md, "BLAS entry at arithmetic cost", has the sweep). The
+/// std::thread pool creates its workers per call -- an empty 4-worker
+/// region costs about 56 us there -- and a split Float64x2 axpy only broke
+/// even with the serial one at 262144 madds, so without OpenMP the
+/// level-1/2 kernels split only calls that large.
+#if defined(_OPENMP)
+inline constexpr std::size_t kCallForkMadds = 512;
+#else
+inline constexpr std::size_t kCallForkMadds = 262144;
+#endif
+
+/// Run body(lo, hi) over a partition of [0, n) into contiguous ranges: on
+/// the calling thread as body(0, n) when the call's `madds` are below
+/// kCallForkMadds -- a plain branch, no parallel region is entered -- and
+/// otherwise over one range per worker of the runtime's default team (never
+/// a smaller team: an OpenMP runtime retires the surplus threads of a small
+/// team and pays about 40 us to create them again). Everything else comes
+/// from parallel_blocks_slots: serial when nested in a parallel region,
+/// spawn failures absorbed, and with `nominal_env` every worker but the
+/// caller runs under guard::ScopedFpEnv. Ranges must be independent; the
+/// split depends on the team size, so a reduction keeps its own fixed
+/// chunks (blas::dot).
+template <typename F>
+void parallel_for(std::size_t n, std::size_t madds, F&& body, bool nominal_env = false) {
+    if (madds < kCallForkMadds || n < 2) {
+        body(std::size_t{0}, n);
+        return;
+    }
+    const unsigned nw = default_threads();
+    parallel_blocks_slots(
+        nw,
+        [&body, n, nw](std::size_t w, unsigned) {
+            const std::size_t lo = n * w / nw;
+            const std::size_t hi = n * (w + 1) / nw;
+            if (lo < hi) body(lo, hi);
+        },
+        ThreadMode::automatic, nw, nominal_env);
 }
 
 }  // namespace mf::blas::engine

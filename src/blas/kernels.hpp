@@ -17,32 +17,35 @@
 // pass the element type explicitly, e.g. dot<Float64x2>(...) -- get the
 // pack path for free.
 //
-// Parallelization matches the paper: ij loop ordering for GEMV, ikj loop
-// ordering for the generic GEMM, with OpenMP over the outer loop when
-// enabled; MultiFloat GEMM runs the packed engine (engine/gemm_packed.hpp)
-// instead. Every parallel region is guarded by engine::in_parallel() so that
-// kernels called from inside an existing parallel region (e.g. a user's own
-// omp loop) run serially instead of oversubscribing with nested teams.
+// Parallelism: every kernel that can split its work hands it to
+// engine::parallel_for (engine/threading.hpp) with the call's multiply-add
+// count -- rows for GEMV and GER (ij order), row blocks of the generic ikj
+// GEMM, contiguous ranges for AXPY and SCAL. That one helper owns the
+// decision to fork: below engine::kCallForkMadds the body runs inline on the
+// calling thread, so a small call costs its arithmetic plus the sentinel;
+// above it the runtime's team splits the ranges, serially when the caller is
+// already inside a parallel region. DOT reduces fixed 2048-element chunks in
+// chunk order, so its bits depend on neither the team size nor the order in
+// which workers finish. MultiFloat GEMM runs the packed engine
+// (engine/gemm_packed.hpp) instead.
 //
-// Robustness (DESIGN.md §12): every view entry point carries an
-// MF_GUARD_SENTINEL (FP-environment probe, MF_GUARD_POLICY-driven) and
-// MF_BLAS_REQUIRE shape/stride validation (compiled in under the
-// MF_BOUNDS_CHECK CMake option only).
+// Robustness (DESIGN.md §12): every view entry point opens a guard::Sentinel
+// (FP-environment check, MF_GUARD_POLICY-driven); a kernel that forks passes
+// the sentinel's enforced() on, so under `enforce` its workers run in the
+// nominal environment too. MF_BLAS_REQUIRE shape/stride validation is
+// compiled in under the MF_BOUNDS_CHECK CMake option only.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <vector>
 
 #include "../guard/policy.hpp"
 #include "../mf/multifloat.hpp"
 #include "../simd/dispatch.hpp"
 #include "engine/gemm_packed.hpp"
 #include "views.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace mf::blas {
 
@@ -59,29 +62,52 @@ inline constexpr bool is_multifloat_v<MultiFloat<T, N>> = std::floating_point<T>
 /// y <- alpha * x + y
 template <typename V>
 void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
-    MF_GUARD_SENTINEL("blas.axpy");
+    const guard::Sentinel sentinel{"blas.axpy"};
     MF_BLAS_REQUIRE(x.size == y.size, "blas.axpy", "x.size == y.size");
-    const std::size_t n = x.size;
-    if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
-        constexpr std::size_t chunk = 2048;
-        const std::size_t nchunks = (n + chunk - 1) / chunk;
-#pragma omp parallel for schedule(static) \
-    if (n > 4096 && !engine::in_parallel())
-        for (std::size_t c = 0; c < nchunks; ++c) {
-            const std::size_t lo = c * chunk;
-            const std::size_t hi = (lo + chunk < n) ? lo + chunk : n;
-            simd::axpy_aos<T, N>(alpha, x.data + lo, y.data + lo, hi - lo);
-        }
-    } else {
-#pragma omp parallel for schedule(static) \
-    if (n > 4096 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            y[i] += alpha * x[i];
-        }
-    }
+    engine::parallel_for(
+        x.size, x.size,
+        [&](std::size_t lo, std::size_t hi) {
+            if constexpr (detail::is_multifloat_v<V>) {
+                simd::axpy_aos<typename V::value_type, V::num_limbs>(alpha, x.data + lo,
+                                                                     y.data + lo, hi - lo);
+            } else {
+                for (std::size_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
+            }
+        },
+        sentinel.enforced());
 }
+
+namespace detail {
+
+/// Elements per DOT partial: a fixed chunking (not a per-worker one) keeps
+/// the reduction tree independent of the team size.
+inline constexpr std::size_t kDotChunk = 2048;
+
+/// V{} + part(c0) + part(c1) + ..., added in chunk order, where part(c) =
+/// chunk_sum(lo, hi) over the c-th kDotChunk elements of [0, n). Serial,
+/// nested and forked runs share the chunks and the order, so all of them
+/// return the same bits.
+template <typename V, typename F>
+[[nodiscard]] V chunked_sum(std::size_t n, const F& chunk_sum, bool nominal_env) {
+    V acc{};
+    if (n <= kDotChunk) {
+        acc += chunk_sum(std::size_t{0}, n);
+        return acc;
+    }
+    std::vector<V> part((n + kDotChunk - 1) / kDotChunk);
+    engine::parallel_for(
+        part.size(), n,
+        [&](std::size_t c0, std::size_t c1) {
+            for (std::size_t c = c0; c < c1; ++c) {
+                part[c] = chunk_sum(c * kDotChunk, std::min(n, (c + 1) * kDotChunk));
+            }
+        },
+        nominal_env);
+    for (const V& p : part) acc += p;
+    return acc;
+}
+
+}  // namespace detail
 
 /// <x, y>
 ///
@@ -89,77 +115,47 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
 /// loop-carried dependence so the (branch-free) per-element work pipelines
 /// and vectorizes -- the SIMD-reduction structure the paper credits for
 /// MultiFloats' DOT advantage over libraries whose operations cannot be
-/// interleaved.
+/// interleaved. Long vectors are reduced in fixed chunks
+/// (detail::chunked_sum), so the result is the same on any team size.
 template <typename V>
 [[nodiscard]] V dot(ConstVectorView<V> x, ConstVectorView<V> y) {
-    MF_GUARD_SENTINEL("blas.dot");
+    const guard::Sentinel sentinel{"blas.dot"};
     MF_BLAS_REQUIRE(x.size == y.size, "blas.dot", "x.size == y.size");
-    const std::size_t n = x.size;
-    if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
-        V acc{};
-#pragma omp parallel if (n > 4096 && !engine::in_parallel())
-        {
-#if defined(_OPENMP)
-            const std::size_t nt = static_cast<std::size_t>(omp_get_num_threads());
-            const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
-#else
-            const std::size_t nt = 1;
-            const std::size_t tid = 0;
-#endif
-            const std::size_t lo = n * tid / nt;
-            const std::size_t hi = n * (tid + 1) / nt;
-            const V local = simd::dot_aos<T, N>(x.data + lo, y.data + lo, hi - lo);
-#pragma omp critical
-            acc += local;
-        }
-        return acc;
-    } else {
-        constexpr std::size_t K = 8;
-        V acc{};
-#pragma omp parallel if (n > 4096 && !engine::in_parallel())
-        {
+    const auto chunk_dot = [&](std::size_t lo, std::size_t hi) -> V {
+        if constexpr (detail::is_multifloat_v<V>) {
+            return simd::dot_aos<typename V::value_type, V::num_limbs>(x.data + lo,
+                                                                      y.data + lo, hi - lo);
+        } else {
+            constexpr std::size_t K = 8;
             V part[K]{};
-#pragma omp for schedule(static) nowait
-            for (std::size_t blk = 0; blk < n / K; ++blk) {
-                for (std::size_t k = 0; k < K; ++k) {
-                    part[k] += x[blk * K + k] * y[blk * K + k];
-                }
+            std::size_t i = lo;
+            for (; i + K <= hi; i += K) {
+                for (std::size_t k = 0; k < K; ++k) part[k] += x[i + k] * y[i + k];
             }
-            V local{};
-            for (std::size_t k = 0; k < K; ++k) local += part[k];
-#pragma omp critical
-            acc += local;
+            V acc{};
+            for (std::size_t k = 0; k < K; ++k) acc += part[k];
+            for (; i < hi; ++i) acc += x[i] * y[i];
+            return acc;
         }
-        for (std::size_t i = n - n % K; i < n; ++i) {
-            acc += x[i] * y[i];
-        }
-        return acc;
-    }
+    };
+    return detail::chunked_sum<V>(x.size, chunk_dot, sentinel.enforced());
 }
 
 /// y <- A x  (A row-major rows x cols; ij loop order; MultiFloat rows reduce
 /// through the pack dot kernel, other types use a 4-way unrolled inner dot)
 template <typename V>
 void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
-    MF_GUARD_SENTINEL("blas.gemv");
+    const guard::Sentinel sentinel{"blas.gemv"};
     MF_BLAS_REQUIRE(a.cols == x.size, "blas.gemv", "a.cols == x.size");
     MF_BLAS_REQUIRE(a.rows == y.size, "blas.gemv", "a.rows == y.size");
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.gemv", "a.stride >= a.cols");
     const std::size_t n = a.rows;
     const std::size_t m = a.cols;
-    if constexpr (detail::is_multifloat_v<V>) {
-        using T = typename V::value_type;
-        constexpr int N = V::num_limbs;
-#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            y[i] = simd::dot_aos<T, N>(a.row(i), x.data, m);
-        }
-    } else {
-        constexpr std::size_t K = 4;
-#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
+    const auto row_dot = [&](std::size_t i) -> V {
+        if constexpr (detail::is_multifloat_v<V>) {
+            return simd::dot_aos<typename V::value_type, V::num_limbs>(a.row(i), x.data, m);
+        } else {
+            constexpr std::size_t K = 4;
             const V* arow = a.row(i);
             V part[K]{};
             for (std::size_t blk = 0; blk < m / K; ++blk) {
@@ -172,20 +168,27 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
             for (std::size_t j = m - m % K; j < m; ++j) {
                 acc += arow[j] * x[j];
             }
-            y[i] = acc;
+            return acc;
         }
-    }
+    };
+    engine::parallel_for(
+        n, n * m,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) y[i] = row_dot(i);
+        },
+        sentinel.enforced());
 }
 
 /// x <- alpha * x
 template <typename V>
 void scal(const V& alpha, VectorView<V> x) {
-    MF_GUARD_SENTINEL("blas.scal");
-    const std::size_t n = x.size;
-#pragma omp parallel for schedule(static) if (n > 4096 && !engine::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] *= alpha;
-    }
+    const guard::Sentinel sentinel{"blas.scal"};
+    engine::parallel_for(
+        x.size, x.size,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) x[i] *= alpha;
+        },
+        sentinel.enforced());
 }
 
 /// sum_i |x_i|  (abs is found by ADL for expansions, std::abs for scalars)
@@ -221,26 +224,27 @@ template <typename V>
 template <typename V>
 void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
          MatrixView<V> a) {
-    MF_GUARD_SENTINEL("blas.ger");
+    const guard::Sentinel sentinel{"blas.ger"};
     MF_BLAS_REQUIRE(a.rows == x.size, "blas.ger", "a.rows == x.size");
     MF_BLAS_REQUIRE(a.cols == y.size, "blas.ger", "a.cols == y.size");
     MF_BLAS_REQUIRE(a.stride >= a.cols, "blas.ger", "a.stride >= a.cols");
     const std::size_t n = x.size;
     const std::size_t m = y.size;
-#pragma omp parallel for schedule(static) if (n > 64 && !engine::in_parallel())
-    for (std::size_t i = 0; i < n; ++i) {
-        const V ax = alpha * x[i];
-        if constexpr (detail::is_multifloat_v<V>) {
-            using T = typename V::value_type;
-            constexpr int N = V::num_limbs;
-            simd::axpy_aos<T, N>(ax, y.data, a.row(i), m);
-        } else {
-            V* arow = a.row(i);
-            for (std::size_t j = 0; j < m; ++j) {
-                arow[j] += ax * y[j];
+    engine::parallel_for(
+        n, n * m,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                const V ax = alpha * x[i];
+                if constexpr (detail::is_multifloat_v<V>) {
+                    simd::axpy_aos<typename V::value_type, V::num_limbs>(ax, y.data,
+                                                                         a.row(i), m);
+                } else {
+                    V* arow = a.row(i);
+                    for (std::size_t j = 0; j < m; ++j) arow[j] += ax * y[j];
+                }
             }
-        }
-    }
+        },
+        sentinel.enforced());
 }
 
 /// C <- A B  (row-major; C is n x m, A is n x k, B is k x m)
@@ -271,19 +275,23 @@ void gemm(ConstMatrixView<V> a, ConstMatrixView<V> b, MatrixView<V> c) {
         engine::gemm_accumulate(engine::access(a), engine::access(b), engine::access(c),
                                 GemmConfig{}, sentinel.enforced());
     } else {
-#pragma omp parallel for schedule(static) if (n > 16 && !engine::in_parallel())
-        for (std::size_t i = 0; i < n; ++i) {
-            V* crow = c.row(i);
-            const V* arow = a.row(i);
-            for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const V aik = arow[kk];
-                const V* brow = b.row(kk);
-                for (std::size_t j = 0; j < m; ++j) {
-                    crow[j] += aik * brow[j];
+        engine::parallel_for(
+            n, n * m * k,
+            [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) {
+                    V* crow = c.row(i);
+                    const V* arow = a.row(i);
+                    for (std::size_t j = 0; j < m; ++j) crow[j] = V{};
+                    for (std::size_t kk = 0; kk < k; ++kk) {
+                        const V aik = arow[kk];
+                        const V* brow = b.row(kk);
+                        for (std::size_t j = 0; j < m; ++j) {
+                            crow[j] += aik * brow[j];
+                        }
+                    }
                 }
-            }
-        }
+            },
+            sentinel.enforced());
     }
 }
 

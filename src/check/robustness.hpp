@@ -164,8 +164,8 @@ namespace detail {
 
     if (opt.alloc) {
         // The engine reserves all its pack scratch (the B panel and one A
-        // block per planned worker slot) in one allocation, so alloc[0] is
-        // the only reservation point, serial or pooled.
+        // block per planned worker slot) in one block, so alloc[0] is the
+        // only reservation point, serial or pooled.
         run_case("alloc[0]-serial", "path=\"alloc\"", /*require_identical=*/true,
                  serial, [&] { guard::inject::arm_alloc(0); });
         run_case("alloc[0]-pool", "path=\"alloc\"", /*require_identical=*/true, pool,

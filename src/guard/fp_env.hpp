@@ -18,8 +18,10 @@
 //     hardware actually does, including environments no register read can
 //     name (x87 precision control, emulated FPUs).
 //   * register reads -- MXCSR on x86, FPCR on AArch64. Near-free, kept in
-//     the snapshot as raw provenance and used to *set* bits the C standard
-//     gives no portable access to (FTZ/DAZ).
+//     the snapshot as raw provenance, used to *set* bits the C standard
+//     gives no portable access to (FTZ/DAZ), and -- once the probes have
+//     vouched for a thread -- as the sentinel's per-call check
+//     (control_register_nominal, policy.hpp).
 //
 // All probes go through volatile locals: the values must be computed by the
 // machine at call time, in the caller's live environment, not constant-folded
@@ -90,18 +92,38 @@ namespace detail {
 // Control-register bit masks for the flush-to-zero family. MXCSR separates
 // output flushing (FTZ, bit 15) from input flushing (DAZ, bit 6); AArch64's
 // FPCR has a single FZ bit (24) doing both, plus FZ16 (19) for half floats.
+// The rounding-control field is MXCSR bits 13-14 and FPCR.RMode, bits
+// 22-23; both encode round-to-nearest as 00.
 #if MF_GUARD_HAVE_MXCSR
 inline constexpr std::uint64_t kFtzBits = 1u << 15;
 inline constexpr std::uint64_t kDazBits = 1u << 6;
+inline constexpr std::uint64_t kRoundingBits = 3u << 13;
 #elif MF_GUARD_HAVE_FPCR
 inline constexpr std::uint64_t kFtzBits = (1ull << 24) | (1ull << 19);
 inline constexpr std::uint64_t kDazBits = (1ull << 24) | (1ull << 19);
+inline constexpr std::uint64_t kRoundingBits = 3ull << 22;
 #else
 inline constexpr std::uint64_t kFtzBits = 0;
 inline constexpr std::uint64_t kDazBits = 0;
+inline constexpr std::uint64_t kRoundingBits = 0;
 #endif
 
 }  // namespace detail
+
+/// The control-register bits that decide the environment the paper's
+/// bounds assume -- rounding control, FTZ, DAZ -- and their value in that
+/// (nominal) environment. The status flags and exception masks in the same
+/// register are left out: arithmetic raises the flags on every call.
+inline constexpr std::uint64_t kEnvControlMask =
+    detail::kRoundingBits | detail::kFtzBits | detail::kDazBits;
+inline constexpr std::uint64_t kNominalControlWord = 0;
+
+/// Does the live control register hold the nominal rounding and flush bits?
+/// Always false in builds without a control register.
+[[nodiscard]] inline bool control_register_nominal() noexcept {
+    return have_control_register &&
+           (read_control_register() & kEnvControlMask) == kNominalControlWord;
+}
 
 /// Behavioral probe: does a subnormal RESULT survive? min_normal/2 is an
 /// exact subnormal in every rounding mode; FTZ (or FPCR.FZ) flushes it to 0.

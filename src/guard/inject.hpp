@@ -4,9 +4,9 @@
 // Three injectable fault classes, each a countdown armed by a test harness
 // (or `mf_fuzz --inject ...`):
 //
-//   alloc  -- the Nth pack-panel reservation throws std::bad_alloc, as a
-//             real aligned `operator new` would under memory pressure
-//             (AlignedBuffer::ensure counts one per panel it allocates);
+//   alloc  -- the Nth pack-scratch reservation throws std::bad_alloc, as a
+//             real `operator new` would under memory pressure
+//             (AlignedBuffer::ensure counts one per reservation);
 //   spawn  -- the Nth std::thread construction in engine::run_pool throws
 //             std::system_error(resource_unavailable_try_again), as a real
 //             spawn does at the pthread limit;
@@ -79,7 +79,7 @@ inline void reset() noexcept {
     detail::state().env_mask.store(0, std::memory_order_relaxed);
 }
 
-/// Hook: called by AlignedBuffer::ensure, once per panel, before allocating.
+/// Hook: called by AlignedBuffer::ensure, once per reservation.
 [[nodiscard]] inline bool should_fail_alloc() noexcept {
     return detail::countdown_hit(detail::state().alloc_countdown);
 }

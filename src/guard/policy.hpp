@@ -13,13 +13,21 @@
 // Default is `warn`: detection must never change numerics behind the
 // caller's back unless they opted in.
 //
-// The sentinel probes on entry AND exit. The exit probe is what catches an
+// The sentinel checks on entry AND exit. The exit check is what catches an
 // environment flipped mid-call (a callback, a signal handler, a buggy thread
 // pool): it reports when the exit environment is hostile and either the
 // entry was clean (so the flip happened inside) or enforcement was active
 // (so anything non-nominal at exit is inside-the-call damage by definition).
+//
+// Under `warn` a check reads the control register first: once the
+// behavioral probes have found this thread nominal with the register's
+// rounding/FTZ/DAZ bits at their nominal word, a matching register is
+// taken as proof and the probes are skipped. They still run on a thread's
+// first check, on any register mismatch, under `enforce` and `abort`, and
+// always in builds without a control register.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -109,13 +117,46 @@ inline void note_violation(const char* site, const char* when,
     }
 }
 
+/// Per-thread state of the register-first check.
+struct ThreadCheck {
+    bool verified = false;       ///< probes found this thread nominal at the nominal word
+    std::uint64_t probe_runs = 0;  ///< full snapshots the sentinels took on this thread
+};
+
+inline thread_local ThreadCheck tls_check;
+
+/// Full behavioral snapshot; verifies the thread when it is nominal and its
+/// register holds the nominal word.
+inline FpEnvSnapshot probe_env() noexcept {
+    ThreadCheck& tc = tls_check;
+    ++tc.probe_runs;
+    const FpEnvSnapshot s = fp_env_snapshot();
+    if (env_nominal(s) && (s.raw_control & kEnvControlMask) == kNominalControlWord) {
+        tc.verified = true;
+    }
+    return s;
+}
+
+/// May a register read stand in for the probes on this thread right now?
+inline bool register_vouches() noexcept {
+    return tls_check.verified && control_register_nominal();
+}
+
 }  // namespace detail
 
-/// RAII environment sentinel for a guarded entry point. Probes the calling
+/// Full behavioral snapshots the sentinels have taken on the calling thread
+/// (a register-first check that passes takes none).
+[[nodiscard]] inline std::uint64_t sentinel_probe_runs() noexcept {
+    return detail::tls_check.probe_runs;
+}
+
+/// RAII environment sentinel for a guarded entry point. Checks the calling
 /// thread's FP environment on construction; under `enforce` it swaps in the
 /// nominal environment for the lifetime of the scope; on destruction it
-/// re-probes to catch mid-call flips, then (enforce) restores the caller's
-/// environment via the embedded ScopedFpEnv.
+/// checks again to catch mid-call flips, then (enforce) restores the
+/// caller's environment via the embedded ScopedFpEnv. Under `warn` each
+/// check is a control-register read unless the register disagrees or the
+/// thread has not been probed yet (header comment).
 class Sentinel {
 public:
     explicit Sentinel(const char* site) noexcept : site_(site) {
@@ -123,7 +164,9 @@ public:
         if (p == Policy::ignore) return;
         armed_ = true;
         MF_TELEM_COUNT("mf_guard_check_total");
-        const FpEnvSnapshot entry = fp_env_snapshot();
+        register_first_ = p == Policy::warn;
+        if (register_first_ && detail::register_vouches()) return;
+        const FpEnvSnapshot entry = detail::probe_env();
         entry_nominal_ = env_nominal(entry);
         if (!entry_nominal_) {
             detail::note_violation(site_, "entry", entry);
@@ -141,12 +184,13 @@ public:
     }
 
     ~Sentinel() {
-        if (!armed_) return;
-        const FpEnvSnapshot exit = fp_env_snapshot();
         // Hostile at exit is a mid-call flip iff entry was clean, or iff we
         // enforced a clean environment ourselves (then ANY exit damage
         // happened inside the guarded region).
-        if (!env_nominal(exit) && (entry_nominal_ || enforced_)) {
+        if (!armed_ || !(entry_nominal_ || enforced_)) return;
+        if (register_first_ && detail::register_vouches()) return;
+        const FpEnvSnapshot exit = detail::probe_env();
+        if (!env_nominal(exit)) {
             detail::note_violation(site_, "exit", exit);
             if (policy() == Policy::abort_on_violation) {
                 std::fprintf(stderr,
@@ -165,6 +209,7 @@ public:
 private:
     const char* site_;
     bool armed_ = false;
+    bool register_first_ = false;
     bool entry_nominal_ = true;
     bool enforced_ = false;
     std::optional<ScopedFpEnv> env_;

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 #include "baselines/campary/campary.hpp"
 #include "baselines/qd/dd_real.hpp"
@@ -167,6 +173,54 @@ TEST(BlasEdge, EmptyAndSingleton) {
     std::vector<mf::Float64x3> x{mf::Float64x3(2.0)};
     std::vector<mf::Float64x3> y{mf::Float64x3(3.0)};
     EXPECT_EQ(static_cast<double>(dot<mf::Float64x3>(view(x), view(y))), 6.0);
+}
+
+// A dot product long enough to be split across the team must not depend on
+// the thread count, on the order in which the workers finish, or on being
+// called from inside an enclosing parallel region (which runs it serially).
+template <typename V>
+void expect_dot_repeatable(const std::vector<V>& x, const std::vector<V>& y) {
+    const auto same = [](const V& a, const V& b) {
+        return std::memcmp(&a, &b, sizeof(V)) == 0;
+    };
+    const auto run = [&] { return dot<V>(view(x), view(y)); };
+    const V want = run();
+#if defined(_OPENMP)
+    const int saved = omp_get_max_threads();
+    for (int t = 1; t <= 4; ++t) {
+        omp_set_num_threads(t);
+        for (int rep = 0; rep < 20; ++rep) {
+            ASSERT_TRUE(same(run(), want)) << t << " threads, call " << rep;
+        }
+    }
+    omp_set_num_threads(saved);
+    std::vector<V> nested(4, V(-1.0));
+#pragma omp parallel num_threads(4)
+    nested[static_cast<std::size_t>(omp_get_thread_num())] = run();
+    for (const V& v : nested) {
+        if (!same(v, V(-1.0))) {
+            EXPECT_TRUE(same(v, want)) << "nested call";
+        }
+    }
+#else
+    for (int rep = 0; rep < 20; ++rep) ASSERT_TRUE(same(run(), want)) << "call " << rep;
+#endif
+}
+
+TEST(BlasDot, RepeatableAcrossThreadCountsAndNesting) {
+    constexpr std::size_t n = 65536;
+    std::mt19937_64 rng(20261017);
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    std::vector<mf::Float64x2> x2(n), y2(n);
+    std::vector<double> xd(n), yd(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x2[i] = mf::Float64x2(u(rng)) / mf::Float64x2(3.0);
+        y2[i] = mf::Float64x2(u(rng)) / mf::Float64x2(7.0);
+        xd[i] = u(rng);
+        yd[i] = u(rng);
+    }
+    expect_dot_repeatable(x2, y2);
+    expect_dot_repeatable(xd, yd);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include <cfenv>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #if defined(_OPENMP)
@@ -29,6 +31,7 @@
 
 #include "blas/blas.hpp"
 #include "check/generators.hpp"
+#include "check/robustness.hpp"
 #include "guard/guard.hpp"
 #include "telemetry/registry.hpp"
 
@@ -337,6 +340,183 @@ TEST_F(GuardSentinelTest, PoolWorkersInstallNominalEnvOnRequest) {
     EXPECT_EQ(hostile_workers.load(), 0);
     // The caller's own environment is the sentinel's business, not the pool's.
     EXPECT_EQ(guard::fp_env_snapshot().rounding, Rounding::toward_zero);
+}
+
+// The same guarantee for the level-2 kernels: a ger large enough to fork
+// hands the sentinel's enforcement to every worker of engine::parallel_for.
+TEST_F(GuardSentinelTest, EnforcedBlasGerRepairsParkedWorkerEnv) {
+#if !defined(_OPENMP)
+    GTEST_SKIP() << "needs OpenMP's persistent worker threads";
+#else
+    using V = MultiFloat<double, 2>;
+    constexpr std::size_t n = 96, m = 48;  // 4608 madds: forks at any threshold in use
+    constexpr int team = 4;
+    check::GenConfig cfg;
+    std::mt19937_64 rng(17);
+    std::vector<V> x(n), y(m), a0(n * m);
+    for (auto& v : x) v = check::gen<double, 2>(rng, check::Category::ladder, cfg);
+    for (auto& v : y) v = check::gen<double, 2>(rng, check::Category::ladder, cfg);
+    for (auto& v : a0) v = check::gen<double, 2>(rng, check::Category::straddle, cfg);
+    std::vector<V> a_clean = a0, a_parked = a0;
+    const auto run = [&](std::vector<V>& a) {
+        blas::ger(V(-1.0), blas::view(std::as_const(x)), blas::view(std::as_const(y)),
+                  blas::view(a, n, m));
+    };
+    const auto park_workers = [](int mode) {
+#pragma omp parallel num_threads(team)
+        if (omp_get_thread_num() != 0) std::fesetround(mode);
+    };
+    const int saved_threads = omp_get_max_threads();
+    omp_set_num_threads(team);
+    guard::FpEnvSaver restore;
+    {
+        guard::ScopedFpEnv clean;
+        park_workers(FE_TONEAREST);
+        run(a_clean);
+    }
+    park_workers(FE_TOWARDZERO);
+    std::atomic<int> parked{0};
+#pragma omp parallel num_threads(team)
+    if (omp_get_thread_num() != 0 && std::fegetround() == FE_TOWARDZERO) ++parked;
+    guard::set_policy(guard::Policy::enforce);
+    run(a_parked);
+    park_workers(FE_TONEAREST);
+    omp_set_num_threads(saved_threads);
+    ASSERT_GT(parked.load(), 0) << "no worker kept the parked rounding mode";
+    for (std::size_t i = 0; i < n * m; ++i) {
+        ASSERT_TRUE(same_bits(a_clean[i], a_parked[i])) << "element " << i;
+    }
+#endif
+}
+
+// ---------------------------------------------------------------------------
+// The register-first check (policy.hpp): under warn, a thread the probes
+// have vouched for is checked by one control-register read; the probes run
+// again on any mismatch.
+
+/// Run fn on a thread that has never run a sentinel.
+template <typename F>
+void on_fresh_thread(F&& fn) {
+    std::thread t(std::forward<F>(fn));
+    t.join();
+}
+
+TEST_F(GuardSentinelTest, FirstCheckOnAThreadRunsTheProbes) {
+    guard::set_policy(guard::Policy::warn);
+    std::uint64_t first = 0, later = 0, after_flags = 0;
+    on_fresh_thread([&] {
+        guard::ScopedFpEnv clean;
+        EXPECT_EQ(guard::sentinel_probe_runs(), 0u);
+        { guard::Sentinel s("test.first"); }
+        first = guard::sentinel_probe_runs();
+        { guard::Sentinel s("test.second"); }
+        later = guard::sentinel_probe_runs();
+        // Arithmetic raises the register's status flags (inexact here);
+        // they are outside the compared bits.
+        volatile double third = 1.0;
+        third = third / 3.0;
+        { guard::Sentinel s("test.third"); }
+        after_flags = guard::sentinel_probe_runs();
+    });
+    EXPECT_GE(first, 1u) << "a thread's first check must run the probes";
+    if constexpr (guard::have_control_register) {
+        EXPECT_EQ(later, first) << "a vouched-for thread re-ran the probes";
+        EXPECT_EQ(after_flags, first) << "status flags forced the probes";
+    } else {
+        EXPECT_GT(later, first) << "without a control register every check probes";
+    }
+}
+
+TEST_F(GuardSentinelTest, RegisterMismatchFallsBackToTheProbes) {
+    guard::set_policy(guard::Policy::warn);
+    guard::FpEnvSaver restore;
+    for (const auto& [tag, p] : supported_perturbs()) {
+        { guard::ScopedFpEnv clean; guard::Sentinel warm("test.warm"); }
+        const std::uint64_t probes = guard::sentinel_probe_runs();
+        const std::uint64_t before = counters_containing("when=\"entry\"");
+        guard::ScopedFpPerturb hostile(p);
+        { guard::Sentinel s("test.mismatch"); }
+        EXPECT_GT(guard::sentinel_probe_runs(), probes) << tag;
+#if MF_TELEMETRY_ENABLED
+        EXPECT_GE(counters_containing("when=\"entry\"") - before, 1u) << tag;
+#else
+        (void)before;
+#endif
+    }
+}
+
+// The documented DAZ subtlety (DESIGN.md §12) survives the register-first
+// path: DAZ alone probes as rn+ftz+daz, and both kinds are reported.
+TEST_F(GuardSentinelTest, DazOnlyEnvironmentStillReportsFtzAndDaz) {
+    if (!guard::perturb_supported(Perturb::daz)) GTEST_SKIP() << "no DAZ bit";
+    guard::set_policy(guard::Policy::warn);
+    guard::FpEnvSaver restore;
+    { guard::ScopedFpEnv clean; guard::Sentinel warm("test.warm"); }
+    const std::uint64_t ftz_before = counters_containing("kind=\"ftz\",when=\"entry\"");
+    const std::uint64_t daz_before = counters_containing("kind=\"daz\",when=\"entry\"");
+    guard::ScopedFpPerturb hostile(Perturb::daz);
+    const guard::FpEnvSnapshot snap = guard::fp_env_snapshot();
+    EXPECT_TRUE(snap.ftz);
+    EXPECT_TRUE(snap.daz);
+    EXPECT_EQ(guard::fp_env_string(snap), "rn+ftz+daz");
+    const std::uint64_t probes = guard::sentinel_probe_runs();
+    { guard::Sentinel s("test.daz"); }
+    EXPECT_GT(guard::sentinel_probe_runs(), probes);
+#if MF_TELEMETRY_ENABLED
+    EXPECT_EQ(counters_containing("kind=\"ftz\",when=\"entry\"") - ftz_before, 1u);
+    EXPECT_EQ(counters_containing("kind=\"daz\",when=\"entry\"") - daz_before, 1u);
+#else
+    (void)ftz_before;
+    (void)daz_before;
+#endif
+}
+
+// A pool worker spawned from a hostile caller inherits its environment; its
+// first sentinel must probe it and report the violation.
+TEST_F(GuardSentinelTest, FreshPoolWorkerInHostileEnvIsDetected) {
+    guard::set_policy(guard::Policy::warn);
+    guard::FpEnvSaver restore;
+    guard::ScopedFpPerturb hostile(Perturb::round_toward_zero);
+    const std::uint64_t before = counters_containing("kind=\"rounding\",when=\"entry\"");
+    std::atomic<int> workers{0}, probed{0};
+    blas::engine::parallel_blocks_slots(
+        8,
+        [&](std::size_t, unsigned slot) {
+            if (slot == 0) return;
+            ++workers;
+            const std::uint64_t probes = guard::sentinel_probe_runs();
+            { guard::Sentinel s("test.worker"); }
+            if (guard::sentinel_probe_runs() > probes) ++probed;
+        },
+        blas::engine::ThreadMode::pool, /*max_threads=*/4);
+    EXPECT_GT(workers.load(), 0);
+    EXPECT_EQ(probed.load(), workers.load());
+#if MF_TELEMETRY_ENABLED
+    EXPECT_EQ(counters_containing("kind=\"rounding\",when=\"entry\"") - before,
+              static_cast<std::uint64_t>(workers.load()));
+#else
+    (void)before;
+#endif
+}
+
+// The fault matrix keeps its cases and their outcomes: every case meets its
+// expectation, and only the mid-call flip (detection-only) diverges.
+TEST_F(GuardSentinelTest, FaultMatrixKeepsItsCasesAndOutcomes) {
+    std::vector<std::string> want = {"env-entry-rz"};
+    if (guard::perturb_supported(Perturb::ftz)) want.push_back("env-entry-ftz");
+    if (guard::perturb_supported(Perturb::daz)) want.push_back("env-entry-daz");
+    for (const char* name : {"env-mid-rz", "alloc[0]-serial", "alloc[0]-pool",
+                             "thread[0]-pool", "thread[1]-pool"}) {
+        want.emplace_back(name);
+    }
+    const std::vector<check::FaultCase> cases = check::run_fault_matrix();
+    ASSERT_EQ(cases.size(), want.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(cases[i].name, want[i]);
+        EXPECT_TRUE(cases[i].expectation_met) << cases[i].name << ": " << cases[i].detail;
+        EXPECT_EQ(cases[i].bit_identical, cases[i].name != "env-mid-rz")
+            << cases[i].name << ": " << cases[i].detail;
+    }
 }
 
 }  // namespace
