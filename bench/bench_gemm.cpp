@@ -204,10 +204,11 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
 }
 
 /// Cost of one engine fork/join: an empty parallel_blocks_slots region with
-/// one block per worker, for a constant team and for a team that alternates
-/// between 2 and 4 workers (an OpenMP runtime may retire the surplus threads
-/// of a smaller team and create them again for the next larger one). This
-/// is the overhead engine::kForkMadds weighs a worker's share against.
+/// one block per worker, for a constant plan and for a plan that alternates
+/// between 2 and 4 workers. Both plans fork the runtime's full team, so the
+/// pair should cost about two 4-worker regions; a pair far above that means
+/// the runtime retired and re-created threads between them. This is the
+/// overhead engine::kForkMadds weighs a worker's share against.
 void report_fork_join(double min_time) {
     const auto region = [](unsigned nw) {
         blas::engine::parallel_blocks_slots(

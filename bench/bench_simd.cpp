@@ -6,7 +6,9 @@
 // the backend rows run the same workloads through mf::simd packs at each
 // backend available on this machine (GEMM through the packed engine,
 // blas::gemm_packed, on one worker). Acceptance: the widest explicit backend
-// must be no slower than autovec on axpy/dot/gemm.
+// must be no slower than autovec on axpy/dot/gemm. The axpy_aos / dot_aos
+// rows run the same axpy and dot on interleaved MultiFloat arrays (the
+// mf::blas layout) at the same n, each timed next to its planar row.
 //
 // Timings use median-of-K (bench::median_time) rather than best-of: these
 // records feed the BENCH_*.json trajectories, where run-to-run robustness
@@ -139,7 +141,7 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
             double ops) {
     const double ns = secs / ops * 1e9;
     const double gflops = ops * fpan::madd_flops(limbs) / secs / 1e9;
-    std::printf("  %-6s %-7s N=%d  %-8s w=%-2d  %10.2f ns/op  %8.3f GFLOP-equiv/s\n",
+    std::printf("  %-8s %-7s N=%d  %-8s w=%-2d  %10.2f ns/op  %8.3f GFLOP-equiv/s\n",
                 kernel, type, limbs, backend.c_str(), width, ns, gflops);
     out.add({kernel, type, limbs, backend, width, ns, gflops});
 }
@@ -174,6 +176,17 @@ void run_type(bench::JsonReport& out, const char* type_name) {
     simd::set_backend(available_backends().back());
     bench::best_time([&] { planar::axpy(alpha, x, y); }, 0.5);
 
+    // The same data in the mf::blas layout (interleaved MultiFloat). Each
+    // backend's axpy_aos / dot_aos row is timed right after its planar row,
+    // so the pair sees the same host state and their ratio is the cost of
+    // the AoS <-> pack transposes.
+    std::vector<MultiFloat<T, N>> xa(n);
+    std::vector<MultiFloat<T, N>> ya(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        xa[i] = x.get(i);
+        ya[i] = y.get(i);
+    }
+
     // AXPY
     {
         const double t = bench::median_time(
@@ -185,6 +198,10 @@ void run_type(bench::JsonReport& out, const char* type_name) {
                 bench::median_time([&] { planar::axpy(alpha, x, y); });
             report(out, "axpy", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, double(n));
+            const double ta = bench::median_time(
+                [&] { simd::axpy_aos<T, N>(alpha, xa.data(), ya.data(), n); });
+            report(out, "axpy_aos", type_name, N, simd::backend_name(b),
+                   simd::active_width<T>(), ta, double(n));
         }
     }
     // DOT
@@ -203,6 +220,10 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             });
             report(out, "dot", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, double(n));
+            const double ta = bench::median_time(
+                [&] { sink = add(sink, simd::dot_aos<T, N>(xa.data(), ya.data(), n)); });
+            report(out, "dot_aos", type_name, N, simd::backend_name(b),
+                   simd::active_width<T>(), ta, double(n));
         }
         if (sink.limb[0] == T(-1)) std::printf("impossible\n");  // keep sink live
     }

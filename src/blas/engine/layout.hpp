@@ -11,8 +11,9 @@
 //                 element (i, j) at planes[p][i * stride + j]; a C tile row
 //                 loads with one unit-stride Pack load per limb;
 //   AosAccess     interleaved MultiFloat matrices, blas::MatrixView: element
-//                 (i, j) at data[i * stride + j]; a C tile row loads through
-//                 the per-lane transpose of simd::kernels::load_aos.
+//                 (i, j) at data[i * stride + j]; a C tile row loads with N
+//                 unit-stride Pack loads and an in-register transpose
+//                 (simd::kernels::load_aos -> Pack::load_interleaved).
 //
 // Both expose the same surface:
 //

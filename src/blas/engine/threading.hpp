@@ -115,9 +115,8 @@ struct Partition {
 /// 4-core AVX-512 Xeon (bench_gemm prints the fork/join line), an empty
 /// engine region costs about 2 us at 4 workers, and 16384 madds are about
 /// 20 us of one worker's micro-kernel time (Float64x2, 1.2 ns/madd): ten
-/// fork/joins. A region larger than the one before it costs more (about
-/// 40 us there: the OpenMP runtime re-creates the threads it retired), but
-/// only once per team growth.
+/// fork/joins. A plan with fewer workers still forks the full team
+/// (parallel_blocks_slots), so no region pays for re-created threads.
 inline constexpr std::size_t kForkMadds = 16384;
 
 /// Plan the split for `row_blocks` row blocks of `panels` jr micro-panels
@@ -201,6 +200,13 @@ void run_pool(unsigned nw, std::size_t nblocks, F&& fn, bool nominal_env) {
 /// region; absorbs thread-spawn failure by running orphaned blocks on the
 /// calling thread (see run_pool). With `nominal_env`, every worker but the
 /// calling thread runs its blocks under guard::ScopedFpEnv.
+///
+/// Under OpenMP a plan for fewer workers than the runtime's default team
+/// still forks that whole team and leaves the surplus threads idle. libgomp
+/// retires the pool threads a smaller team does not use and creates new
+/// ones for the next larger region. In a blocked LU solve that alternation
+/// ended and created two threads per solve, and the solve's tail latency
+/// then followed the host's load (EXPERIMENTS.md, "One team size").
 template <typename F>
 void parallel_blocks_slots(std::size_t nblocks, F&& fn,
                            ThreadMode mode = ThreadMode::automatic,
@@ -215,17 +221,20 @@ void parallel_blocks_slots(std::size_t nblocks, F&& fn,
         return;
     }
 #if defined(_OPENMP)
-#pragma omp parallel num_threads(static_cast<int>(nw))
+#pragma omp parallel num_threads(static_cast<int>(std::max(nw, default_threads())))
     {
-        // Partition by the team size actually granted (can be < nw); the
-        // result does not depend on it -- only the work assignment does.
-        const auto team = static_cast<unsigned>(omp_get_num_threads());
+        // Partition over the first min(nw, granted) threads (the runtime
+        // can grant fewer than asked); the result does not depend on it --
+        // only the work assignment does. The rest of the team idles.
+        const auto team = std::min(nw, static_cast<unsigned>(omp_get_num_threads()));
         const auto w = static_cast<unsigned>(omp_get_thread_num());
-        std::optional<guard::ScopedFpEnv> env;
-        if (nominal_env && w != 0) env.emplace();
-        const std::size_t lo = nblocks * w / team;
-        const std::size_t hi = nblocks * (w + 1) / team;
-        for (std::size_t blk = lo; blk < hi; ++blk) fn(blk, w);
+        if (w < team) {
+            std::optional<guard::ScopedFpEnv> env;
+            if (nominal_env && w != 0) env.emplace();
+            const std::size_t lo = nblocks * w / team;
+            const std::size_t hi = nblocks * (w + 1) / team;
+            for (std::size_t blk = lo; blk < hi; ++blk) fn(blk, w);
+        }
     }
 #else
     detail::run_pool(nw, nblocks, std::forward<F>(fn), nominal_env);
@@ -245,15 +254,15 @@ void parallel_blocks(std::size_t nblocks, F&& fn,
 /// Multiply-adds a level-1/2 blas:: call (axpy, dot, gemv, scal, ger, the
 /// generic gemm) must carry before parallel_for forks. With OpenMP the fork
 /// reuses the runtime's warm team: on a 4-core AVX-512 Xeon one fork/join
-/// costs 2.2-2.5 us, and a Float64x2 AoS axpy or ger row runs at about
-/// 6-7 ns per madd, so a 4-worker split pays from roughly 500 madds on
-/// (EXPERIMENTS.md, "BLAS entry at arithmetic cost", has the sweep). The
-/// std::thread pool creates its workers per call -- an empty 4-worker
-/// region costs about 56 us there -- and a split Float64x2 axpy only broke
-/// even with the serial one at 262144 madds, so without OpenMP the
-/// level-1/2 kernels split only calls that large.
+/// costs 2-2.5 us, and a Float64x2 AoS axpy or ger row runs at about
+/// 1.7 ns per madd, so a 4-worker split breaks even at about 2048 madds
+/// (EXPERIMENTS.md, "AoS kernels at planar speed", has the table and the
+/// lu_solve sweep). The std::thread pool creates its workers per call -- an
+/// empty 4-worker region costs about 56 us there -- and a split Float64x2
+/// axpy only broke even with the serial one at 262144 madds, so without
+/// OpenMP the level-1/2 kernels split only calls that large.
 #if defined(_OPENMP)
-inline constexpr std::size_t kCallForkMadds = 512;
+inline constexpr std::size_t kCallForkMadds = 2048;
 #else
 inline constexpr std::size_t kCallForkMadds = 262144;
 #endif
@@ -261,14 +270,12 @@ inline constexpr std::size_t kCallForkMadds = 262144;
 /// Run body(lo, hi) over a partition of [0, n) into contiguous ranges: on
 /// the calling thread as body(0, n) when the call's `madds` are below
 /// kCallForkMadds -- a plain branch, no parallel region is entered -- and
-/// otherwise over one range per worker of the runtime's default team (never
-/// a smaller team: an OpenMP runtime retires the surplus threads of a small
-/// team and pays about 40 us to create them again). Everything else comes
-/// from parallel_blocks_slots: serial when nested in a parallel region,
-/// spawn failures absorbed, and with `nominal_env` every worker but the
-/// caller runs under guard::ScopedFpEnv. Ranges must be independent; the
-/// split depends on the team size, so a reduction keeps its own fixed
-/// chunks (blas::dot).
+/// otherwise over one range per worker of the runtime's default team.
+/// Everything else comes from parallel_blocks_slots: serial when nested in
+/// a parallel region, spawn failures absorbed, and with `nominal_env` every
+/// worker but the caller runs under guard::ScopedFpEnv. Ranges must be
+/// independent; the split depends on the team size, so a reduction keeps
+/// its own fixed chunks (blas::dot).
 template <typename F>
 void parallel_for(std::size_t n, std::size_t madds, F&& body, bool nominal_env = false) {
     if (madds < kCallForkMadds || n < 2) {

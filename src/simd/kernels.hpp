@@ -11,11 +11,13 @@
 //  * planar (SoA) raw plane pointers, as used by mf::planar::Vector -- packs
 //    load W consecutive elements of one limb with a single unaligned load;
 //  * AoS spans of MultiFloat<T, N>, as used by mf::blas -- limbs are
-//    interleaved, so packs are filled through a small per-lane transpose
-//    buffer. The networks cost dozens to hundreds of flops per element, so
-//    the transpose overhead amortizes and the SIMD win survives.
+//    interleaved, so W elements are N*W consecutive scalars, and
+//    Pack::load_interleaved / store_interleaved transpose them in registers
+//    (pack.hpp says why not through a lane buffer). At N = 2 the AoS kernels
+//    run within about 1.2x of planar.
 
 #include <cstddef>
+#include <type_traits>
 
 #include "../mf/add.hpp"
 #include "../mf/mul.hpp"
@@ -46,27 +48,28 @@ MF_ALWAYS_INLINE MultiFloat<P, N> broadcast(const MultiFloat<T, N>& x) noexcept 
     return r;
 }
 
+/// The scalars of n consecutive AoS elements, in memory order: limb k of
+/// element j is at [j * N + k], the record layout of P::load_interleaved.
+template <std::floating_point T, int N>
+MF_ALWAYS_INLINE const T* limbs_of(const MultiFloat<T, N>* p) noexcept {
+    static_assert(sizeof(MultiFloat<T, N>) == N * sizeof(T) &&
+                  std::is_standard_layout_v<MultiFloat<T, N>>);
+    return reinterpret_cast<const T*>(p);
+}
+template <std::floating_point T, int N>
+MF_ALWAYS_INLINE T* limbs_of(MultiFloat<T, N>* p) noexcept {
+    return const_cast<T*>(limbs_of(static_cast<const MultiFloat<T, N>*>(p)));
+}
+
 /// Transpose W consecutive AoS elements into a pack MultiFloat.
 template <typename P, std::floating_point T, int N>
 MF_ALWAYS_INLINE MultiFloat<P, N> load_aos(const MultiFloat<T, N>* p) noexcept {
-    constexpr int W = P::width;
-    MultiFloat<P, N> r;
-    T buf[W];
-    for (int k = 0; k < N; ++k) {
-        for (int j = 0; j < W; ++j) buf[j] = p[j].limb[k];
-        r.limb[k] = P::load(buf);
-    }
-    return r;
+    return MultiFloat<P, N>(P::template load_interleaved<N>(limbs_of(p)));
 }
 
 template <typename P, std::floating_point T, int N>
 MF_ALWAYS_INLINE void store_aos(const MultiFloat<P, N>& v, MultiFloat<T, N>* p) noexcept {
-    constexpr int W = P::width;
-    T buf[W];
-    for (int k = 0; k < N; ++k) {
-        v.limb[k].store(buf);
-        for (int j = 0; j < W; ++j) p[j].limb[k] = buf[j];
-    }
+    P::template store_interleaved<N>(v.limb, limbs_of(p));
 }
 
 /// Extract lane j of a pack expansion as a scalar expansion.

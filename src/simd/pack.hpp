@@ -17,7 +17,12 @@
 // is compiled for those ISAs. TwoProd requires a *fused* multiply-add: every
 // specialization uses the hardware FMA instruction when the ISA provides one
 // and falls back to the (correct, slower) per-lane std::fma otherwise.
+//
+// Every pack also converts W interleaved records of N scalars -- W elements
+// of an AoS MultiFloat array -- into N packs and back: load_interleaved and
+// store_interleaved. The x86 packs do it with register shuffles.
 
+#include <array>
 #include <cmath>
 #include <concepts>
 
@@ -89,6 +94,27 @@ struct Pack {
     }
     [[nodiscard]] MF_ALWAYS_INLINE T operator[](int i) const noexcept { return lane[i]; }
 
+    /// Deinterleave W consecutive records of N scalars: lane j of pack k is
+    /// p[j * N + k]. This is the AoS -> pack transpose of simd/kernels.hpp;
+    /// the loop here is the reference every specialization must match.
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<Pack, N> load_interleaved(
+        const T* p) noexcept {
+        std::array<Pack, N> r;
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < W; ++j) r[k].lane[j] = p[j * N + k];
+        }
+        return r;
+    }
+    /// The inverse: p[j * N + k] = lane j of v[k].
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved(const std::array<Pack, N>& v,
+                                                   T* p) noexcept {
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < W; ++j) p[j * N + k] = v[k].lane[j];
+        }
+    }
+
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         Pack r;
         for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] + b.lane[i];
@@ -119,15 +145,93 @@ struct Pack {
 };
 
 // ---------------------------------------------------------------------------
+// Record transposes for the x86 packs: the load_interleaved /
+// store_interleaved primitive every specialization below inherits. Nothing
+// here goes through memory. A lane buffer written W scalars at a time and
+// then reloaded as one pack stalls on store forwarding, which made the AoS
+// kernels 7-8x slower than planar (EXPERIMENTS.md, "AoS kernels at planar
+// speed"). Each x86 pack instead supplies two in-register shuffles,
+//
+//   unzip(a, b, even, odd)  split the 2W scalars a:b into their even- and
+//                           odd-indexed halves;
+//   zip(even, odd, lo, hi)  the inverse;
+//
+// and load_strided<S>, a pack built from the scalars p[j * S]. N = 2 is one
+// unzip. N = 4 is two rounds of it: the first separates limbs {0, 2} from
+// {1, 3}, the second splits each pair. Any other N loads each limb with
+// load_strided and stores it lane by lane; that direction is cheap, because
+// scalar reads of one wide store do forward.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// Base of every x86 specialization P (scalar type T): its load_interleaved
+/// and store_interleaved, built on P's shuffles as described above.
+template <typename P, typename T>
+struct ShuffleTransposes {
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved(
+        const T* p) noexcept {
+        constexpr int W = P::width;
+        std::array<P, N> r;
+        if constexpr (N == 1) {
+            r[0] = P::load(p);
+        } else if constexpr (N == 2) {
+            P::unzip(P::load(p), P::load(p + W), r[0], r[1]);
+        } else if constexpr (N == 4) {
+            P e0, o0, e1, o1;
+            P::unzip(P::load(p), P::load(p + W), e0, o0);
+            P::unzip(P::load(p + 2 * W), P::load(p + 3 * W), e1, o1);
+            P::unzip(e0, e1, r[0], r[2]);
+            P::unzip(o0, o1, r[1], r[3]);
+        } else {
+            for (int k = 0; k < N; ++k) r[k] = P::template load_strided<N>(p + k);
+        }
+        return r;
+    }
+
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved(const std::array<P, N>& v,
+                                                   T* p) noexcept {
+        constexpr int W = P::width;
+        if constexpr (N == 1) {
+            v[0].store(p);
+        } else if constexpr (N == 2) {
+            P lo, hi;
+            P::zip(v[0], v[1], lo, hi);
+            lo.store(p);
+            hi.store(p + W);
+        } else if constexpr (N == 4) {
+            P e0, e1, o0, o1, lo, hi;
+            P::zip(v[0], v[2], e0, e1);
+            P::zip(v[1], v[3], o0, o1);
+            P::zip(e0, o0, lo, hi);
+            lo.store(p);
+            hi.store(p + W);
+            P::zip(e1, o1, lo, hi);
+            lo.store(p + 2 * W);
+            hi.store(p + 3 * W);
+        } else {
+            for (int k = 0; k < N; ++k) {
+                for (int j = 0; j < W; ++j) p[j * N + k] = v[k][j];
+            }
+        }
+    }
+};
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // x86 specializations. Each one is the same five operations + load/store on
-// the ISA's natural register; fma() uses the fused instruction when compiled
-// with FMA support and per-lane std::fma otherwise (SSE2-era parts).
+// the ISA's natural register, plus the unzip / zip / load_strided that the
+// record transposes above are built on; fma() uses the fused instruction when
+// compiled with FMA support and per-lane std::fma otherwise (SSE2-era parts).
 // ---------------------------------------------------------------------------
 
 #if MF_SIMD_HAVE_SSE2
 
 template <>
-struct Pack<float, 4> {
+struct Pack<float, 4> : detail::ShuffleTransposes<Pack<float, 4>, float> {
     using value_type = float;
     static constexpr int width = 4;
     __m128 v;
@@ -144,6 +248,18 @@ struct Pack<float, 4> {
         float t[4];
         _mm_storeu_ps(t, v);
         return t[i];
+    }
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        even = Pack(_mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(2, 0, 2, 0)));
+        odd = Pack(_mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(3, 1, 3, 1)));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        lo = Pack(_mm_unpacklo_ps(even.v, odd.v));
+        hi = Pack(_mm_unpackhi_ps(even.v, odd.v));
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
+        return Pack(_mm_setr_ps(p[0], p[S], p[2 * S], p[3 * S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_ps(a.v, b.v));
@@ -172,7 +288,7 @@ struct Pack<float, 4> {
 };
 
 template <>
-struct Pack<double, 2> {
+struct Pack<double, 2> : detail::ShuffleTransposes<Pack<double, 2>, double> {
     using value_type = double;
     static constexpr int width = 2;
     __m128d v;
@@ -189,6 +305,17 @@ struct Pack<double, 2> {
         double t[2];
         _mm_storeu_pd(t, v);
         return t[i];
+    }
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        even = Pack(_mm_unpacklo_pd(a.v, b.v));
+        odd = Pack(_mm_unpackhi_pd(a.v, b.v));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        unzip(even, odd, lo, hi);  // a 2 x 2 transpose is its own inverse
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
+        return Pack(_mm_setr_pd(p[0], p[S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_pd(a.v, b.v));
@@ -221,7 +348,7 @@ struct Pack<double, 2> {
 #if MF_SIMD_HAVE_AVX2
 
 template <>
-struct Pack<float, 8> {
+struct Pack<float, 8> : detail::ShuffleTransposes<Pack<float, 8>, float> {
     using value_type = float;
     static constexpr int width = 8;
     __m256 v;
@@ -238,6 +365,26 @@ struct Pack<float, 8> {
         float t[8];
         _mm256_storeu_ps(t, v);
         return t[i];
+    }
+    // The in-lane shuffles leave 64-bit pairs in 0 2 1 3 order across the
+    // two 128-bit halves; permute4x64 (0xD8) swaps the middle two.
+    [[nodiscard]] static MF_ALWAYS_INLINE __m256 swap_mid_pairs(__m256 x) noexcept {
+        return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(x), 0xD8));
+    }
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        even = Pack(swap_mid_pairs(_mm256_shuffle_ps(a.v, b.v, _MM_SHUFFLE(2, 0, 2, 0))));
+        odd = Pack(swap_mid_pairs(_mm256_shuffle_ps(a.v, b.v, _MM_SHUFFLE(3, 1, 3, 1))));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        const __m256 e = swap_mid_pairs(even.v);
+        const __m256 o = swap_mid_pairs(odd.v);
+        lo = Pack(_mm256_unpacklo_ps(e, o));
+        hi = Pack(_mm256_unpackhi_ps(e, o));
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
+        return Pack(_mm256_setr_ps(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
+                                   p[6 * S], p[7 * S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_ps(a.v, b.v));
@@ -266,7 +413,7 @@ struct Pack<float, 8> {
 };
 
 template <>
-struct Pack<double, 4> {
+struct Pack<double, 4> : detail::ShuffleTransposes<Pack<double, 4>, double> {
     using value_type = double;
     static constexpr int width = 4;
     __m256d v;
@@ -283,6 +430,22 @@ struct Pack<double, 4> {
         double t[4];
         _mm256_storeu_pd(t, v);
         return t[i];
+    }
+    // The in-lane unpacks leave lanes in 0 2 1 3 order across the two
+    // 128-bit halves; permute4x64 (0xD8) swaps the middle two.
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        even = Pack(_mm256_permute4x64_pd(_mm256_unpacklo_pd(a.v, b.v), 0xD8));
+        odd = Pack(_mm256_permute4x64_pd(_mm256_unpackhi_pd(a.v, b.v), 0xD8));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        const __m256d e = _mm256_permute4x64_pd(even.v, 0xD8);
+        const __m256d o = _mm256_permute4x64_pd(odd.v, 0xD8);
+        lo = Pack(_mm256_unpacklo_pd(e, o));
+        hi = Pack(_mm256_unpackhi_pd(e, o));
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
+        return Pack(_mm256_setr_pd(p[0], p[S], p[2 * S], p[3 * S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_pd(a.v, b.v));
@@ -315,7 +478,7 @@ struct Pack<double, 4> {
 #if MF_SIMD_HAVE_AVX512
 
 template <>
-struct Pack<float, 16> {
+struct Pack<float, 16> : detail::ShuffleTransposes<Pack<float, 16>, float> {
     using value_type = float;
     static constexpr int width = 16;
     __m512 v;
@@ -332,6 +495,26 @@ struct Pack<float, 16> {
         float t[16];
         _mm512_storeu_ps(t, v);
         return t[i];
+    }
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        const __m512i ie = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22,
+                                             24, 26, 28, 30);
+        even = Pack(_mm512_permutex2var_ps(a.v, ie, b.v));
+        odd = Pack(_mm512_permutex2var_ps(a.v, _mm512_add_epi32(ie, _mm512_set1_epi32(1)),
+                                          b.v));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        const __m512i il = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6,
+                                             22, 7, 23);
+        lo = Pack(_mm512_permutex2var_ps(even.v, il, odd.v));
+        hi = Pack(_mm512_permutex2var_ps(even.v, _mm512_add_epi32(il, _mm512_set1_epi32(8)),
+                                         odd.v));
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
+        return Pack(_mm512_setr_ps(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
+                                   p[6 * S], p[7 * S], p[8 * S], p[9 * S], p[10 * S],
+                                   p[11 * S], p[12 * S], p[13 * S], p[14 * S], p[15 * S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_ps(a.v, b.v));
@@ -352,7 +535,7 @@ struct Pack<float, 16> {
 };
 
 template <>
-struct Pack<double, 8> {
+struct Pack<double, 8> : detail::ShuffleTransposes<Pack<double, 8>, double> {
     using value_type = double;
     static constexpr int width = 8;
     __m512d v;
@@ -369,6 +552,23 @@ struct Pack<double, 8> {
         double t[8];
         _mm512_storeu_pd(t, v);
         return t[i];
+    }
+    static MF_ALWAYS_INLINE void unzip(Pack a, Pack b, Pack& even, Pack& odd) noexcept {
+        even = Pack(_mm512_permutex2var_pd(a.v, _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                                           b.v));
+        odd = Pack(_mm512_permutex2var_pd(a.v, _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
+                                          b.v));
+    }
+    static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
+        lo = Pack(_mm512_permutex2var_pd(even.v, _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
+                                         odd.v));
+        hi = Pack(_mm512_permutex2var_pd(even.v, _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
+                                         odd.v));
+    }
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
+        return Pack(_mm512_setr_pd(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
+                                   p[6 * S], p[7 * S]));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_pd(a.v, b.v));
@@ -392,8 +592,40 @@ struct Pack<double, 8> {
 
 #if MF_SIMD_HAVE_NEON
 
+namespace detail {
+
+/// NEON's load_interleaved / store_interleaved: the portable transpose
+/// through a lane buffer, which pays the store-forwarding stall the x86
+/// packs avoid. vld2q/vld3q/vld4q and their stores would do it in register;
+/// they stay unwritten until they can be tested on an Arm target.
+template <typename P, typename T>
+struct BufferTransposes {
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved(
+        const T* p) noexcept {
+        std::array<P, N> r;
+        T buf[P::width];
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < P::width; ++j) buf[j] = p[j * N + k];
+            r[k] = P::load(buf);
+        }
+        return r;
+    }
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved(const std::array<P, N>& v,
+                                                   T* p) noexcept {
+        T buf[P::width];
+        for (int k = 0; k < N; ++k) {
+            v[k].store(buf);
+            for (int j = 0; j < P::width; ++j) p[j * N + k] = buf[j];
+        }
+    }
+};
+
+}  // namespace detail
+
 template <>
-struct Pack<float, 4> {
+struct Pack<float, 4> : detail::BufferTransposes<Pack<float, 4>, float> {
     using value_type = float;
     static constexpr int width = 4;
     float32x4_t v;
@@ -429,7 +661,7 @@ struct Pack<float, 4> {
 };
 
 template <>
-struct Pack<double, 2> {
+struct Pack<double, 2> : detail::BufferTransposes<Pack<double, 2>, double> {
     using value_type = double;
     static constexpr int width = 2;
     float64x2_t v;

@@ -14,13 +14,15 @@
 //   * degrading to the unpacked path bit-identically when pack scratch
 //     cannot be allocated;
 //   * the shape-derived ic/jr partition keeps large products on the ic-only
-//     plan and splits small ones across workers.
+//     plan and splits small ones across workers, and a plan for fewer
+//     workers does not shrink the OpenMP team.
 //
 // Suites are named GemmPacked* so the scalar-forced CI identity job runs
 // them alongside the planar engine's tests.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <random>
@@ -267,5 +269,37 @@ TEST(GemmPackedPlan, SerialModeAndNestedRegionsUseOneWorker) {
     EXPECT_EQ(nested, 1u);
 #endif
 }
+
+#if defined(_OPENMP)
+// A plan for fewer workers still forks the runtime's whole team and idles
+// the rest, so the next full region runs on the same threads. Asking for a
+// smaller team instead lets libgomp end the surplus pool threads and create
+// new ones for the next larger region.
+TEST(GemmPackedPlan, FewerWorkersKeepTheRuntimeTeam) {
+    using blas::engine::parallel_blocks_slots;
+    const unsigned full = blas::engine::default_threads();
+    if (full < 3) GTEST_SKIP() << "needs a default team of at least 3 threads";
+    std::atomic<int> new_threads{0};
+    const auto region = [&](unsigned workers) {
+        parallel_blocks_slots(
+            workers,
+            [&](std::size_t, unsigned) {
+                thread_local bool seen = false;
+                if (!seen) {
+                    seen = true;
+                    new_threads.fetch_add(1);
+                }
+            },
+            ThreadMode::automatic, workers);
+    };
+    region(full);
+    new_threads = 0;
+    for (int i = 0; i < 4; ++i) {
+        region(2);
+        region(full);
+    }
+    EXPECT_EQ(new_threads.load(), 0);
+}
+#endif
 
 }  // namespace

@@ -3,13 +3,15 @@
 // mf::add / mf::mul kernels on the elementwise paths -- including empty,
 // sub-width, and W+-1 tail sizes and misaligned range starts -- and the
 // reductions must match the historical eight-accumulator order (widths <= 8)
-// or the exact oracle (wider). Mirrors tests/planar_test.cpp on the explicit
+// or the exact oracle (wider). The AoS kernels get the same treatment, with
+// sentinels around the output. Mirrors tests/planar_test.cpp on the explicit
 // SIMD path.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <type_traits>
 #include <utility>
@@ -205,6 +207,45 @@ TYPED_TEST(SimdKernelTyped, DotEveryWidthMatchesReference) {
                 simd::kernels::dot_aos<T, N, W>(xa.data(), ya.data(), n);
             for (int k = 0; k < N; ++k) {
                 ASSERT_EQ(bits(got_aos.limb[k]), bits(got.limb[k])) << "W=" << W;
+            }
+        }
+    });
+}
+
+/// AoS axpy at every width against the scalar network. x and y start one
+/// element into their arrays, x ends exactly where its allocation does (so a
+/// read past n trips ASan), and y carries sentinels before and after the n
+/// elements that must come back bit-for-bit untouched. The sentinels are
+/// signaling NaNs: arithmetic on one returns a different (quiet) NaN, so a
+/// stray write cannot reproduce them.
+TYPED_TEST(SimdKernelTyped, AxpyAosEveryWidthMatchesScalar) {
+    using T = typename TypeParam::value_type;
+    constexpr int N = TypeParam::num_limbs;
+    constexpr std::size_t kSentinels = 17;
+    std::mt19937_64 rng(25);
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        const TypeParam alpha = adversarial<T, N>(rng, -2, 2);
+        TypeParam sentinel;
+        for (int k = 0; k < N; ++k) sentinel.limb[k] = std::numeric_limits<T>::signaling_NaN();
+        for (std::size_t n : {std::size_t(0), std::size_t(1), std::size_t(W - 1),
+                              std::size_t(W), std::size_t(W + 1), std::size_t(65),
+                              std::size_t(256)}) {
+            std::vector<TypeParam> x(1 + n), y(1 + n + kSentinels, sentinel), y0;
+            for (std::size_t i = 1; i <= n; ++i) {
+                x[i] = adversarial<T, N>(rng, -6, 6);
+                y[i] = adversarial<T, N>(rng, -6, 6);
+            }
+            y0 = y;
+            simd::kernels::axpy_aos<T, N, W>(alpha, x.data() + 1, y.data() + 1, n);
+            for (std::size_t i = 0; i < y.size(); ++i) {
+                const bool inside = i >= 1 && i <= n;
+                const TypeParam want = inside ? add(mul(alpha, x[i]), y0[i]) : y0[i];
+                for (int k = 0; k < N; ++k) {
+                    ASSERT_EQ(bits(y[i].limb[k]), bits(want.limb[k]))
+                        << "W=" << W << " n=" << n << " i=" << i
+                        << (inside ? "" : " (sentinel)");
+                }
             }
         }
     });

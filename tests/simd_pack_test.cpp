@@ -6,10 +6,12 @@
 // loads. On this build the instantiated widths cover whichever intrinsic
 // specializations the compiler enabled (see MF_SIMD_HAVE_* in pack.hpp);
 // with MF_SIMD_FORCE_SCALAR they all collapse to the portable fallback and
-// the same assertions must still hold.
+// the same assertions must still hold. The interleaved (AoS record)
+// load/store of every width must match the primary template's loop.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -175,6 +177,49 @@ TYPED_TEST(PackTyped, EftGatesBitExactPerLane) {
                 ASSERT_EQ(bits(ferr[j]), bits(fe)) << "fast_two_sum err W=" << W;
             }
         }
+    });
+}
+
+/// load_interleaved / store_interleaved for N = 1..4 at every width. The
+/// reference is the primary template at W = 1: its loop, applied to record j
+/// alone, must give lane j of every pack. Stores must round-trip the records
+/// bit for bit and leave the scalars around them untouched.
+TYPED_TEST(PackTyped, InterleavedRoundTripMatchesPrimaryTemplate) {
+    using T = TypeParam;
+    for_each_width<T>([](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        using P1 = Pack<T, 1>;
+        const auto check_limbs = [&](auto n) {
+            constexpr int N = n();
+            const auto vals = sample_values<T>(3 * W * N + 2, 300 + W * N);
+            for (int off = 0; off < W; ++off) {
+                const T* src = vals.data() + off;
+                const std::array<P, N> packs = P::template load_interleaved<N>(src);
+                for (int j = 0; j < W; ++j) {
+                    const std::array<P1, N> ref =
+                        P1::template load_interleaved<N>(src + j * N);
+                    for (int k = 0; k < N; ++k) {
+                        ASSERT_EQ(bits(packs[k][j]), bits(ref[k][0]))
+                            << "W=" << W << " N=" << N << " lane=" << j << " limb=" << k;
+                    }
+                }
+                const T guard = std::numeric_limits<T>::quiet_NaN();
+                std::vector<T> out(W * N + 2 * W, guard);
+                P::template store_interleaved<N>(packs, out.data() + W);
+                for (int i = 0; i < W * N; ++i) {
+                    ASSERT_EQ(bits(out[W + i]), bits(src[i])) << "W=" << W << " N=" << N;
+                }
+                for (int i = 0; i < W; ++i) {
+                    ASSERT_EQ(bits(out[i]), bits(guard)) << "W=" << W << " N=" << N;
+                    ASSERT_EQ(bits(out[W + W * N + i]), bits(guard)) << "W=" << W << " N=" << N;
+                }
+            }
+        };
+        check_limbs(std::integral_constant<int, 1>{});
+        check_limbs(std::integral_constant<int, 2>{});
+        check_limbs(std::integral_constant<int, 3>{});
+        check_limbs(std::integral_constant<int, 4>{});
     });
 }
 
