@@ -57,7 +57,7 @@
 
 namespace mf::blas::engine {
 
-/// How parallel_blocks executes its workers.
+/// How parallel_blocks_slots executes its workers.
 enum class ThreadMode {
     automatic,  ///< OpenMP when compiled in, std::thread pool otherwise
     pool,       ///< force the std::thread pool (testable in OpenMP builds)
@@ -86,7 +86,7 @@ inline bool in_parallel() noexcept {
 #endif
 }
 
-/// Worker count parallel_blocks would PLAN for this call -- an upper bound
+/// Worker count parallel_blocks_slots would PLAN for this call -- an upper bound
 /// on the slot index fn will ever see, so callers can pre-size per-slot
 /// scratch before entering the parallel region. (The granted team can be
 /// smaller; slots are always < the planned count.)
@@ -239,16 +239,6 @@ void parallel_blocks_slots(std::size_t nblocks, F&& fn,
 #else
     detail::run_pool(nw, nblocks, std::forward<F>(fn), nominal_env);
 #endif
-}
-
-/// Block-only adapter (no slot): the original parallel_blocks surface.
-template <typename F>
-void parallel_blocks(std::size_t nblocks, F&& fn,
-                     ThreadMode mode = ThreadMode::automatic,
-                     unsigned max_threads = 0) {
-    parallel_blocks_slots(
-        nblocks, [&fn](std::size_t blk, unsigned) { fn(blk); }, mode,
-        max_threads);
 }
 
 /// Multiply-adds a level-1/2 blas:: call (axpy, dot, gemv, scal, ger, the

@@ -64,17 +64,12 @@ constexpr int chain_depth(const Gates& gates, Depths& d) noexcept {
 }
 
 /// A fixed FPAN over W wires: G gates in execution order and the O wires
-/// holding the result, most significant first. A network ending in the
-/// distill/renorm sweep records where the sweep begins and how many wires it
-/// spans (`sweep_width` 0: no sweep); the kernels count one
-/// mf_renorm_accumulate_total event, labeled by the width, at that point.
+/// holding the result, most significant first.
 template <std::size_t W, std::size_t G, std::size_t O>
 struct Table {
     static constexpr std::size_t num_wires = W;
     std::array<Gate, G> gates;
     std::array<int, O> outputs;
-    int sweep_width = 0;
-    std::size_t sweep_begin = G;
 
     [[nodiscard]] constexpr int size() const noexcept { return static_cast<int>(G); }
     [[nodiscard]] constexpr int depth() const noexcept {
@@ -91,21 +86,19 @@ struct Table {
     }
 };
 
-template <auto Table, std::size_t B, FloatingPoint V, std::size_t... I>
+template <auto Table, FloatingPoint V, std::size_t... I>
 MF_ALWAYS_INLINE constexpr void run_gates([[maybe_unused]] V (&w)[Table.num_wires],
                                            std::index_sequence<I...>) noexcept {
-    (apply<Table.gates[B + I].kind>(w[Table.gates[B + I].a], w[Table.gates[B + I].b]),
-     ...);
+    (apply<Table.gates[I].kind>(w[Table.gates[I].a], w[Table.gates[I].b]), ...);
 }
 
-/// Run gates [B, E) of `Table` (by default all of them) in place over the
-/// wires `w`. The gate loop is unrolled at compile time, so a call inlines to
-/// the same straight-line, branch-free code as writing the gates out by hand.
-/// The wires are a plain array so that, once inlined, they become registers.
-template <auto Table, std::size_t B = 0, std::size_t E = Table.gates.size(),
-          FloatingPoint V>
+/// Run every gate of `Table` in place over the wires `w`. The gate loop is
+/// unrolled at compile time, so a call inlines to the same straight-line,
+/// branch-free code as writing the gates out by hand. The wires are a plain
+/// array so that, once inlined, they become registers.
+template <auto Table, FloatingPoint V>
 MF_ALWAYS_INLINE constexpr void run(V (&w)[Table.num_wires]) noexcept {
-    run_gates<Table, B>(w, std::make_index_sequence<E - B>{});
+    run_gates<Table>(w, std::make_index_sequence<Table.gates.size()>{});
 }
 
 /// The table on W wires that runs `head`, then the accumulation sweep over
@@ -139,8 +132,6 @@ constexpr auto sweep(const std::array<Gate, H>& head, const std::array<int, K>& 
         }
     }
     for (int i = 0; i < N; ++i) t.outputs[i] = perm[i];
-    t.sweep_width = k;
-    t.sweep_begin = H;
     return t;
 }
 

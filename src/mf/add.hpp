@@ -12,11 +12,9 @@
 // against an exact BigFloat oracle (DESIGN.md §2).
 
 #include <cstddef>
-#include <string>
 #include <utility>
 
 #include "../fpan/gates.hpp"
-#include "../telemetry/events.hpp"
 #include "eft.hpp"
 #include "multifloat.hpp"
 
@@ -31,17 +29,10 @@ MF_ALWAYS_INLINE constexpr MultiFloat<T, sizeof...(O)> gather(
 }
 
 /// Run the shipped FPAN `Table` in place over the wires `w` and return its
-/// outputs. A sweep counts one mf_renorm_accumulate_total{k=sweep width}
-/// event as it starts (once per pack for packs); the macro skips constant
-/// evaluation, so the networks stay constexpr.
+/// outputs. Straight-line gates only: nothing here counts or branches.
 template <auto Table, FloatingPoint T>
 MF_ALWAYS_INLINE constexpr auto run_fpan(T (&w)[Table.num_wires]) noexcept {
-    fpan::run<Table, 0, Table.sweep_begin>(w);
-    if constexpr (Table.sweep_width > 0) {
-        MF_TELEM_COUNT(std::string("mf_renorm_accumulate_total{k=\"") +
-                       std::to_string(Table.sweep_width) + "\"}");
-    }
-    fpan::run<Table, Table.sweep_begin>(w);
+    fpan::run<Table>(w);
     return gather<Table>(w, std::make_index_sequence<Table.outputs.size()>{});
 }
 

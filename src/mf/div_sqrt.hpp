@@ -16,34 +16,12 @@
 
 #include <cmath>
 
-#include "../telemetry/events.hpp"
 #include "add.hpp"
 #include "mul.hpp"
 #include "multifloat.hpp"
 
 namespace mf {
 namespace detail {
-
-/// Numerical-health events: the Newton paths silently manufacture Inf/NaN
-/// (pole division, overflowing quotients) and subnormal leading limbs
-/// (gradual underflow), both of which void the paper's error bounds (§4.4).
-/// This branch-free tally (adds 0 or 1, no data-dependent branch) is how a
-/// live process surfaces "how often do my inputs leave the contractual
-/// domain" without a debugger attached. IsDiv picks the op label at compile
-/// time, so the name string exists only in each site's one-time id resolve.
-template <bool IsDiv, FloatingPoint T, int N>
-MF_ALWAYS_INLINE void note_result_health(const MultiFloat<T, N>& z) noexcept {
-#if MF_TELEMETRY_ENABLED
-    MF_TELEM_COUNT_N(IsDiv ? "mf_divsqrt_nonfinite_total{op=\"div\"}"
-                           : "mf_divsqrt_nonfinite_total{op=\"sqrt\"}",
-                     !std::isfinite(z.limb[0]));
-    MF_TELEM_COUNT_N(IsDiv ? "mf_divsqrt_subnormal_total{op=\"div\"}"
-                           : "mf_divsqrt_subnormal_total{op=\"sqrt\"}",
-                     std::fpclassify(z.limb[0]) == FP_SUBNORMAL);
-#else
-    (void)z;
-#endif
-}
 
 /// Newton iterations needed to refine a machine-precision seed to N terms.
 template <int N>
@@ -103,14 +81,11 @@ template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> div(const MultiFloat<T, N>& b,
                                    const MultiFloat<T, N>& a) noexcept {
     if constexpr (N == 1) {
-        const MultiFloat<T, 1> q(b.limb[0] / a.limb[0]);
-        detail::note_result_health<true>(q);
-        return q;
+        return MultiFloat<T, 1>(b.limb[0] / a.limb[0]);
     } else {
         const MultiFloat<T, N> r = recip(a);
         MultiFloat<T, N> q = b * r;
         q = q + r * (b - a * q);  // correction: fixes the trailing bits
-        detail::note_result_health<true>(q);
         return q;
     }
 }
@@ -136,16 +111,13 @@ template <FloatingPoint T, int N>
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> sqrt(const MultiFloat<T, N>& a) noexcept {
     if constexpr (N == 1) {
-        const MultiFloat<T, 1> s(std::sqrt(a.limb[0]));
-        detail::note_result_health<false>(s);
-        return s;
+        return MultiFloat<T, 1>(std::sqrt(a.limb[0]));
     } else {
         if (a.is_zero()) return MultiFloat<T, N>(std::sqrt(a.limb[0]));
         const MultiFloat<T, N> r = rsqrt(a);
         MultiFloat<T, N> s = a * r;
         // Karp-Markstein correction: s <- s + (r/2) * (a - s^2).
         s = s + ldexp(r, -1) * (a - s * s);
-        detail::note_result_health<false>(s);
         return s;
     }
 }

@@ -13,11 +13,11 @@
 // result exactly when the scalar result is non-finite or a signed zero.
 // The selection compiles to conditional moves (no data-dependent branch on
 // the hot path); finite inputs with finite outputs take the FPAN result
-// untouched.
+// untouched. Like every scalar op, the wrappers count nothing: how often a
+// fixup fires is a property of the caller's data, for the caller to measure.
 
 #include <cmath>
 
-#include "../telemetry/events.hpp"
 #include "add.hpp"
 #include "div_sqrt.hpp"
 #include "mul.hpp"
@@ -54,9 +54,6 @@ template <FloatingPoint T, int N>
                                         const MultiFloat<T, N>& y) noexcept {
     const T scalar = x.limb[0] + y.limb[0];
     const bool fixup = detail::needs_ieee_fixup(scalar);
-    // Numerical-health event: adds 0 or 1 unconditionally, so the hot path
-    // stays branch-free (same discipline as the cmov select below).
-    MF_TELEM_COUNT_N("mf_ieee_fixup_total{op=\"add\"}", fixup);
     return detail::select(fixup, scalar, add(x, y));
 }
 
@@ -73,7 +70,6 @@ template <FloatingPoint T, int N>
                                         const MultiFloat<T, N>& y) noexcept {
     const T scalar = x.limb[0] * y.limb[0];
     const bool fixup = detail::needs_ieee_fixup(scalar);
-    MF_TELEM_COUNT_N("mf_ieee_fixup_total{op=\"mul\"}", fixup);
     return detail::select(fixup, scalar, mul(x, y));
 }
 
@@ -88,7 +84,6 @@ template <FloatingPoint T, int N>
                                         const MultiFloat<T, N>& a) noexcept {
     const T scalar = b.limb[0] / a.limb[0];
     const bool fixup = detail::needs_ieee_fixup(scalar) || !std::isfinite(a.limb[0]);
-    MF_TELEM_COUNT_N("mf_ieee_fixup_total{op=\"div\"}", fixup);
     return detail::select(fixup, scalar, div(b, a));
 }
 
@@ -100,7 +95,6 @@ template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> sqrt_ieee(const MultiFloat<T, N>& a) noexcept {
     const T scalar = std::sqrt(a.limb[0]);
     const bool fixup = detail::needs_ieee_fixup(scalar);
-    MF_TELEM_COUNT_N("mf_ieee_fixup_total{op=\"sqrt\"}", fixup);
     return detail::select(fixup, scalar, sqrt(a));
 }
 

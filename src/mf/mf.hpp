@@ -13,10 +13,12 @@
 //                              packed cache-blocked GEMM engine
 //   <simd/simd.hpp>            Pack<T, W> backends, runtime dispatch, the
 //                              width-templated FPAN kernels
-//   <telemetry/telemetry.hpp>  counters/histograms/trace spans -- optional
-//                              in the sense that every MF_TELEM_* macro
-//                              compiles to nothing unless the build defines
-//                              MF_TELEMETRY (CMake option of the same name)
+//   <telemetry/telemetry.hpp>  counters/histograms/trace spans of the simd,
+//                              blas and engine layers (per call, range or
+//                              tile; the MultiFloat core counts nothing);
+//                              every MF_TELEM_* macro compiles to nothing
+//                              unless the build defines MF_TELEMETRY (CMake
+//                              option of the same name)
 //
 // Finer-grained includes (<mf/multifloats.hpp> alone, <blas/planar.hpp>,
 // ...) remain stable for code that wants a narrower dependency; README

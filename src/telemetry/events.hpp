@@ -1,16 +1,14 @@
 #pragma once
-// Hot-path instrumentation macros. This is the ONLY header the instrumented
-// kernels include, and the only one whose contents depend on the compile
-// mode:
+// Instrumentation macros. This is the ONLY header the instrumented layers
+// include, and the only one whose contents depend on the compile mode:
 //
 //   * MF_TELEMETRY defined non-zero (the CMake MF_TELEMETRY option, default
 //     ON) -> macros record into the registry;
-//   * otherwise, or when a translation unit defines MF_TELEMETRY_DISABLE
-//     (the per-TU escape hatch the compiled-out no-op test uses) -> every
-//     macro expands to ((void)0). No registry call, no clock read, no static
-//     -- the instrumented function compiles to the identical code it had
-//     before instrumentation (tests/telemetry_off_test.cpp proves the macros
-//     vanish even inside constant evaluation).
+//   * otherwise -> every macro expands to ((void)0). No registry call, no
+//     clock read, no static -- the instrumented function compiles to the
+//     identical code it had before instrumentation
+//     (tests/telemetry_off_test.cpp, built when MF_TELEMETRY is OFF, proves
+//     the macros vanish even inside constant evaluation).
 //
 // Name-resolution cost discipline when ON: MF_TELEM_COUNT/HIST take a name
 // *expression* (evaluated lazily in a capture-free lambda) and cache the
@@ -19,18 +17,19 @@
 // construction -- runs exactly once per site; the steady-state cost of a
 // count is a thread-local relaxed load/store pair.
 //
-// Constant-evaluation discipline: several instrumented kernels (add.hpp's
-// networks, which count their renorm sweep in detail::run_fpan) are
-// constexpr. Every macro is guarded by
-// std::is_constant_evaluated(), so instrumented kernels stay usable in
-// static_asserts and constant initializers; only runtime calls count.
+// Granularity: macros sit at kernel, range, call or tile level, never inside
+// one extended-precision operation. The arithmetic core (src/mf/ except the
+// mf.hpp umbrella, and src/fpan/gates.hpp) includes no telemetry header, so
+// it stays straight-line, constexpr and vectorizable in both modes. A
+// constexpr function must not use these macros: ON, they are not
+// constant-evaluable.
 
 #include <cstdint>
 #include <type_traits>
 
 #include "registry.hpp"
 
-#if defined(MF_TELEMETRY) && MF_TELEMETRY && !defined(MF_TELEMETRY_DISABLE)
+#if defined(MF_TELEMETRY) && MF_TELEMETRY
 #define MF_TELEMETRY_ENABLED 1
 #else
 #define MF_TELEMETRY_ENABLED 0
@@ -109,39 +108,28 @@ private:
 
 /// Add `n` to the counter named by `name_expr` (any expression convertible
 /// to std::string_view; evaluated once per call site).
-#define MF_TELEM_COUNT_N(name_expr, n)                                          \
-    do {                                                                        \
-        if (!std::is_constant_evaluated()) {                                    \
-            ::mf::telemetry::detail::count_site([] { return (name_expr); },     \
-                                                static_cast<std::uint64_t>(n)); \
-        }                                                                       \
-    } while (0)
+#define MF_TELEM_COUNT_N(name_expr, n)                                      \
+    ::mf::telemetry::detail::count_site([] { return (name_expr); },         \
+                                        static_cast<std::uint64_t>(n))
 
 #define MF_TELEM_COUNT(name_expr) MF_TELEM_COUNT_N(name_expr, 1)
 
 /// Counter with a runtime-computed name (labels depending on runtime values).
 /// Pays a registry lookup per call -- cold paths only (backend selection,
 /// override handling), never inside kernels.
-#define MF_TELEM_COUNT_DYN(name_expr, n)                                     \
-    do {                                                                     \
-        if (!std::is_constant_evaluated()) {                                 \
-            ::mf::telemetry::Registry& mf_telem_reg_ =                       \
-                ::mf::telemetry::Registry::instance();                       \
-            mf_telem_reg_.add(mf_telem_reg_.counter(name_expr),              \
-                              static_cast<std::uint64_t>(n));                \
-        }                                                                    \
+#define MF_TELEM_COUNT_DYN(name_expr, n)                                 \
+    do {                                                                 \
+        ::mf::telemetry::Registry& mf_telem_reg_ =                       \
+            ::mf::telemetry::Registry::instance();                       \
+        mf_telem_reg_.add(mf_telem_reg_.counter(name_expr),              \
+                          static_cast<std::uint64_t>(n));                \
     } while (0)
 
 /// Record `value` (clamped to [0, 2^64)) into the log2-bucketed histogram
 /// named by `name_expr`.
-#define MF_TELEM_HIST(name_expr, value)                                      \
-    do {                                                                     \
-        if (!std::is_constant_evaluated()) {                                 \
-            ::mf::telemetry::detail::observe_site(                           \
-                [] { return (name_expr); },                                  \
-                ::mf::telemetry::detail::clamp_value(value));                \
-        }                                                                    \
-    } while (0)
+#define MF_TELEM_HIST(name_expr, value)                              \
+    ::mf::telemetry::detail::observe_site(                           \
+        [] { return (name_expr); }, ::mf::telemetry::detail::clamp_value(value))
 
 /// Trace-only scope span (statement context; declares an RAII local).
 #define MF_TELEM_SPAN(name_literal)                 \

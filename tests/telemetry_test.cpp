@@ -50,7 +50,8 @@ std::uint64_t sum_counters_with_prefix(const Snapshot& s, const std::string& pre
     return total;
 }
 
-// With telemetry compiled in, the counted networks still constant-evaluate.
+// The arithmetic core carries no instrumentation, so with telemetry compiled
+// in its networks still constant-evaluate: a counter in them would not.
 using MF3 = mf::MultiFloat<double, 3>;
 using MF4 = mf::MultiFloat<double, 4>;
 static_assert(mf::add(mf::add(MF3(1.0), MF3(0x1p-70)), 0x1p-140).limb[2] == 0x1p-140);
@@ -220,7 +221,7 @@ TEST(TelemetryExposition, RendersCountersHistogramsAndBuildInfo) {
     EXPECT_NE(text.find("backend="), std::string::npos);
 }
 
-TEST(TelemetryWiring, GemmPopulatesDispatchRenormAndTileCounters) {
+TEST(TelemetryWiring, GemmPopulatesDispatchAndTileCounters) {
 #if !MF_TELEMETRY_ENABLED
     GTEST_SKIP() << "telemetry instrumentation compiled out";
 #else
@@ -243,15 +244,13 @@ TEST(TelemetryWiring, GemmPopulatesDispatchRenormAndTileCounters) {
 
     const Snapshot snap = reg().snapshot();
     // One dispatch resolve (hoisted out of the loop nest), one micro-kernel
-    // call per 4 x W tile, A and B each packed once in full, and a renorm
-    // per element update.
+    // call per 4 x W tile, and A and B each packed once in full.
     EXPECT_EQ(sum_counters_with_prefix(snap, "mf_simd_dispatch_total"), 1u);
     const CounterSnap* tiles = find_counter(snap, "mf_gemm_microkernel_total");
     ASSERT_NE(tiles, nullptr);
     EXPECT_EQ(tiles->value, (n + 3) / 4 * ((n + w - 1) / w));
     EXPECT_EQ(sum_counters_with_prefix(snap, "mf_gemm_pack_bytes_total"),
               2 * N * n * n * sizeof(double));
-    EXPECT_GT(sum_counters_with_prefix(snap, "mf_renorm_accumulate_total"), 0u);
     // n = 8 fits one macro-panel: one traced span, one latency observation.
     ASSERT_EQ(snap.spans.size(), 1u);
     EXPECT_EQ(snap.spans[0].name, std::string("gemm_macro_panel"));
@@ -261,53 +260,39 @@ TEST(TelemetryWiring, GemmPopulatesDispatchRenormAndTileCounters) {
 #endif
 }
 
-TEST(TelemetryWiring, RenormCountsOnePerSweepingNetwork) {
-#if !MF_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry instrumentation compiled out";
-#else
-    using MF2 = mf::MultiFloat<double, 2>;
-    const double t = 0x1p-70;
+TEST(TelemetryWiring, ScalarCoreRegistersNothing) {
+    // The arithmetic core counts nothing in either mode: add/sub/mul, the
+    // Newton div/sqrt/recip and the IEEE wrappers run on finite, signed-zero,
+    // infinite, NaN and subnormal operands without touching the registry.
+    const auto drive = [](auto tag) {
+        using V = decltype(tag);
+        const double inf = std::numeric_limits<double>::infinity();
+        const V vals[] = {V(1.5), V(-0x1p-70), V(0.0), V(-0.0), V(inf), V(-inf),
+                          V(std::numeric_limits<double>::quiet_NaN()),
+                          V(std::numeric_limits<double>::denorm_min())};
+        for (const V& x : vals) {
+            (void)mf::recip(x);
+            (void)mf::sqrt(x);
+            (void)mf::sqrt_ieee(x);
+            for (const V& y : vals) {
+                (void)mf::add(x, y);
+                (void)mf::sub(x, y);
+                (void)mf::mul(x, y);
+                (void)mf::div(x, y);
+                (void)mf::add_ieee(x, y);
+                (void)mf::sub_ieee(x, y);
+                (void)mf::mul_ieee(x, y);
+                (void)mf::div_ieee(x, y);
+            }
+        }
+    };
     reg().reset();
-    (void)mf::add(MF2(1.0), MF2(t));  // Figure 2: no sweep
-    (void)mf::mul(MF2(1.0), MF2(t));  // Figure 5: no sweep
-    (void)mf::add(MF3(1.0), MF3(t));  // k = 2N = 6
-    (void)mf::add(MF4(1.0), MF4(t));  // k = 8
-    (void)mf::mul(MF3(1.0), MF3(t));  // k = N = 3
-    (void)mf::mul(MF4(1.0), MF4(t));  // k = 4
-    (void)mf::add(MF3(1.0), t);       // k = N + 1 = 4
-    (void)mf::mul(MF3(1.0), t);       // k = 2N - 1 = 5
+    drive(mf::MultiFloat<double, 2>{});
+    drive(MF3{});
+    drive(MF4{});
     const Snapshot snap = reg().snapshot();
-    for (const auto& [k, calls] : {std::pair{3, 1u}, {4, 2u}, {5, 1u}, {6, 1u}, {8, 1u}}) {
-        const std::string name = "mf_renorm_accumulate_total{k=\"" + std::to_string(k) + "\"}";
-        const CounterSnap* c = find_counter(snap, name);
-        ASSERT_NE(c, nullptr) << name;
-        EXPECT_EQ(c->value, calls) << name;
-    }
-    EXPECT_EQ(sum_counters_with_prefix(snap, "mf_renorm_accumulate_total"), 6u);
-#endif
-}
-
-TEST(TelemetryWiring, IeeeFixupEventsCountSpecials) {
-#if !MF_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry instrumentation compiled out";
-#else
-    reg().reset();
-    using MF4 = mf::MultiFloat<double, 4>;
-    const MF4 inf(std::numeric_limits<double>::infinity());
-    const MF4 one(1.0);
-    (void)mf::add_ieee(inf, one);   // fixup: Inf propagates
-    (void)mf::add_ieee(one, one);   // no fixup
-    (void)mf::div_ieee(one, MF4(0.0));  // fixup: 1/0 = Inf
-    const Snapshot snap = reg().snapshot();
-    const CounterSnap* add = find_counter(snap, "mf_ieee_fixup_total{op=\"add\"}");
-    ASSERT_NE(add, nullptr);
-    EXPECT_EQ(add->value, 1u);
-    const CounterSnap* div = find_counter(snap, "mf_ieee_fixup_total{op=\"div\"}");
-    ASSERT_NE(div, nullptr);
-    EXPECT_EQ(div->value, 1u);
-    // div() on a zero divisor also raises the non-finite health event.
-    EXPECT_GE(sum_counters_with_prefix(snap, "mf_divsqrt_nonfinite_total"), 1u);
-#endif
+    for (const CounterSnap& c : snap.counters) EXPECT_EQ(c.value, 0u) << c.name;
+    for (const HistogramSnap& h : snap.histograms) EXPECT_EQ(h.count, 0u) << h.name;
 }
 
 TEST(TelemetryRegistry, ResetZeroesValuesButKeepsSeries) {

@@ -321,9 +321,10 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
     }
 
-    // Dump the process telemetry (op counts, renorm invocations, IEEE fixup
-    // and non-finite events the fuzz run triggered) on every non-usage-error
-    // exit path; the exit code never depends on the dump.
+    // Dump the process telemetry (conformance samples, violations and slack
+    // histogram, plus the guard and SIMD events the fuzz run triggered) on
+    // every non-usage-error exit path; the exit code never depends on the
+    // dump.
     const auto dump_metrics = [&opt] {
         if (!opt.metrics_path.empty()) telemetry::write_exposition(opt.metrics_path);
     };
