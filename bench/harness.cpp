@@ -108,6 +108,7 @@ bool JsonReport::write(const std::string& path) const {
                      r.gflops_equiv, r.dim);
         if (r.threads > 0) std::fprintf(f, ", \"threads\": %d", r.threads);
         if (!r.op.empty()) std::fprintf(f, ", \"op\": \"%s\"", clean(r.op).c_str());
+        if (r.k > 0) std::fprintf(f, ", \"k\": %zu", r.k);
         if (!r.guard.empty()) std::fprintf(f, ", \"guard\": \"%s\"", clean(r.guard).c_str());
         if (r.ceiling_ns > 0) std::fprintf(f, ", \"ceiling_ns\": %.6g", r.ceiling_ns);
         std::fprintf(f, "}");

@@ -121,7 +121,9 @@ struct JsonRecord {
     int threads = 0;      // workers the record ran with; 0 = runtime default
                           // (the document-level "threads" stamp), omitted
     // Optional, omitted when empty/zero:
-    std::string op{};        // the entry a "blas_entry" record timed: "axpy", "dot"
+    std::string op{};        // the entry a "blas_entry" / "lu_update" record timed:
+                             // "axpy", "dot" / "gemm_packed", "blas_gemm"
+    std::size_t k = 0;       // GEMM inner dimension when it is not `dim` (n x k x n)
     std::string guard{};     // MF_GUARD_POLICY the record ran under
     double ceiling_ns = 0.0; // the same work without the entry's fixed costs
 };

@@ -12,27 +12,32 @@
 // Goto/BLIS decomposition:
 //
 //   jc over m in nc columns     B column-panel        (L3-resident packed)
-//    pc over k in kc rows       pack B(pc, jc) once   (ascending: kk order)
-//     ic over n in mc rows      macro-panels           (parallel, see below)
+//    pc over k in kc rows       one parallel region   (ascending: kk order)
+//     pack B(pc, jc)            by the team, in kk-row slices
+//     ic over n in mc rows      macro-panels           (work items, below)
 //       pack A(ic, pc)          per-worker scratch     (L2-resident packed)
 //       jr over nc in NR cols   packed-B micro-panel   (L1-resident)
 //        ir over mc in MR rows  register micro-kernel  (microkernel.hpp)
 //
 // The parallel work items are the ic row blocks when there are at least as
 // many as workers; otherwise each row block's jr micro-panels are also cut
-// into column ranges, so small and skinny products still reach every core
-// (plan_partition, threading.hpp).
+// into column ranges, so small and skinny products still reach every core.
+// mc is picked from the shape and the worker count so that a region holds
+// several items per worker, and the workers claim them from a shared
+// counter (item_rows, plan_partition and parallel_items in threading.hpp).
 //
-// Block sizes mc/kc/nc are selected per detected backend at dispatch time
-// (auto_blocks below; pack width and expansion length set the micro-tile
-// footprint) and can be pinned via GemmConfig for experiments.
+// Block sizes kc/nc, and mc's upper bound, are selected per detected
+// backend at dispatch time (auto_blocks below; pack width and expansion
+// length set the micro-tile footprint) and can be pinned via GemmConfig
+// for experiments.
 //
 // Determinism/bit-identity: the pc loop ascends and the micro-kernel ascends
 // kk within each pc block, so every C element sees its k updates in exactly
 // check::reference_gemm's order, each update being the identical
-// add(mul(.,.),.) FPAN sequence; work items partition C into disjoint (row block, jr
-// column range) pieces per worker (owner-computes, threading.hpp's
-// plan_partition), so no element is touched by two threads.
+// add(mul(.,.),.) FPAN sequence; work items partition C into disjoint (row
+// block, jr column range) pieces, each run by exactly one worker, and a kc
+// block's region ends before the next one starts, so no element is touched
+// by two threads at once and none sees its updates out of order.
 // Result: bit-identical to the scalar check::reference_gemm for every
 // backend, thread count, and threading substrate -- enforced by
 // check::diff_gemm_packed and the fuzz-smoke conformance tier.
@@ -53,9 +58,10 @@
 
 namespace mf::blas {
 
-/// Cache-block sizes for gemm_packed; 0 = select per detected backend.
+/// Cache-block sizes for gemm_packed; 0 = select per detected backend (mc:
+/// from the shape and worker count as well, engine::item_rows).
 struct BlockShape {
-    std::size_t mc = 0;  ///< rows of a packed A block (L2 target)
+    std::size_t mc = 0;  ///< rows of a packed A block and work item (L2 target)
     std::size_t kc = 0;  ///< k-extent of packed A/B blocks (L1 target)
     std::size_t nc = 0;  ///< columns of a packed B panel (L3 target)
 };
@@ -167,18 +173,20 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
         constexpr auto MR = static_cast<std::size_t>(MK::MR);
         constexpr auto NR = static_cast<std::size_t>(MK::NR);
         const BlockShape bs = auto_blocks<T, N>(MK::MR, MK::NR, cfg.blocks);
-        const std::size_t row_blocks = (n + bs.mc - 1) / bs.mc;
         const std::size_t panels = (std::min(bs.nc, m) + NR - 1) / NR;
-        const Partition plan =
-            plan_partition(row_blocks, panels, (n + MR - 1) / MR * panels,
-                           MR * NR * std::min(bs.kc, k), cfg.threads, cfg.max_threads);
-        // Column-split plans share each row block among several workers; even
-        // out the row blocks (same count, sizes within MR of each other) so
-        // no worker's share is a full mc block while another's is a stub.
-        std::size_t mc = bs.mc;
-        if (plan.col_splits > 1) {
-            mc = std::min(mc, ((n + row_blocks - 1) / row_blocks + MR - 1) / MR * MR);
-        }
+        const std::size_t tiles = (n + MR - 1) / MR * panels;
+        const std::size_t tile_madds = MR * NR * std::min(bs.kc, k);
+        // An auto mc cuts the rows into several items per worker the work
+        // can keep busy, and the plan forks no more workers than that. A
+        // pinned mc is taken as given, and its ic-only plan forks a worker
+        // per row block up to the cap: tiny pinned blocks are how the fault
+        // matrix forces spawns on a small product (check/robustness.hpp).
+        const bool pinned = cfg.blocks.mc != 0;
+        const unsigned nw = fork_workers(tiles, tile_madds, cfg.threads, cfg.max_threads);
+        const std::size_t mc = pinned ? bs.mc : item_rows(n, MR, bs.mc, nw);
+        const std::size_t row_blocks = (n + mc - 1) / mc;
+        const Partition plan = plan_partition(row_blocks, panels, tiles, tile_madds,
+                                              cfg.threads, pinned ? cfg.max_threads : nw);
         // Pack scratch: the shared B panel, then one A block per worker slot,
         // each padded to whole cache lines, in the calling thread's one
         // scratch block (thread_scratch), which later calls reuse.
@@ -200,19 +208,28 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
             return;
         }
         T* const bbuf = scratch.data();
-        const T* bpk[N];
         for (std::size_t jc = 0; jc < m; jc += bs.nc) {
             const std::size_t ncb = std::min(bs.nc, m - jc);
             const std::size_t jpanels = (ncb + NR - 1) / NR;
             const std::size_t splits = std::min(plan.col_splits, jpanels);
             for (std::size_t pc = 0; pc < k; pc += bs.kc) {
                 const std::size_t kcb = std::min(bs.kc, k - pc);
-                // Packed once, read-only for every worker below.
-                pack_b(b, pc, jc, kcb, ncb, bbuf, bpk);
+                const T* bpk[N];
+                for (int p = 0; p < N; ++p) {
+                    bpk[p] = bbuf + static_cast<std::size_t>(p) * kcb * ncb;
+                }
+                // The workers pack B in kk-row slices, then claim items;
+                // no item starts before the whole panel is packed.
+                const std::size_t slices = std::min<std::size_t>(plan.workers, kcb);
                 // Fault-injection checkpoint: a mid-call environment flip
                 // lands here; the sentinel's exit probe must notice it.
                 guard::inject::maybe_perturb_env();
-                parallel_blocks_slots(
+                parallel_items(
+                    slices,
+                    [&](std::size_t s) {
+                        pack_b(b, pc, jc, kcb, ncb, kcb * s / slices, kcb * (s + 1) / slices,
+                               bbuf);
+                    },
                     row_blocks * splits,
                     [&](std::size_t item, unsigned slot) {
                         MF_TELEM_SPAN_TIMED("gemm_macro_panel",

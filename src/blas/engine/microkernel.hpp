@@ -10,6 +10,13 @@
 // accumulation chains give the out-of-order core far more exploitable ILP
 // than a single fma_range's one-chain-per-pack.
 //
+// The tile lives in registers only if the compiler scalarizes acc[MR][NRP],
+// so every fixed-trip loop of full() is unrolled. With a rolled r loop GCC
+// keeps acc in a stack array, and each kk step loads and stores all of it
+// on the dependent add chain; unrolled, a Float64x2 kk step on AVX-512 is
+// 8 madds of 29 vector FP ops each and no stack reference. N = 4 spills a
+// few temporaries even so, and still runs faster unrolled (DESIGN.md §11).
+//
 // Bit-identity argument: every output element receives exactly the update
 // check::reference_gemm applies -- add(mul(a_ik, b_kj), c_ij), the identical
 // FPAN gate sequence, in the identical kk-ascending order. Holding the
@@ -61,8 +68,11 @@ struct MicroKernel {
     static void full(const T* const (&ap)[N], std::size_t lda,
                      const T* const (&bp)[N], std::size_t ldb, const CAccess& c,
                      std::size_t i0, std::size_t j0, std::size_t kc) {
+        // Unrolled throughout so acc stays in registers (see file header).
         MultiFloat<P, N> acc[MR][NRP];
+#pragma GCC unroll 4
         for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
             for (int q = 0; q < NRP; ++q) {
                 acc[r][q] = c.template load<P>(i0 + static_cast<std::size_t>(r),
                                                j0 + static_cast<std::size_t>(q) * W);
@@ -70,23 +80,30 @@ struct MicroKernel {
         }
         for (std::size_t kk = 0; kk < kc; ++kk) {
             MultiFloat<P, N> bv[NRP];
+#pragma GCC unroll 2
             for (int q = 0; q < NRP; ++q) {
+#pragma GCC unroll 4
                 for (int p = 0; p < N; ++p) {
                     bv[q].limb[p] = P::load(bp[p] + kk * ldb + q * W);
                 }
             }
+#pragma GCC unroll 4
             for (int r = 0; r < MR; ++r) {
                 MultiFloat<T, N> a_s;
+#pragma GCC unroll 4
                 for (int p = 0; p < N; ++p) {
                     a_s.limb[p] = ap[p][static_cast<std::size_t>(r) * lda + kk];
                 }
                 const MultiFloat<P, N> av = simd::kernels::broadcast<P, T, N>(a_s);
+#pragma GCC unroll 2
                 for (int q = 0; q < NRP; ++q) {
                     acc[r][q] = add(mul(av, bv[q]), acc[r][q]);
                 }
             }
         }
+#pragma GCC unroll 4
         for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
             for (int q = 0; q < NRP; ++q) {
                 c.template store<P>(i0 + static_cast<std::size_t>(r),
                                     j0 + static_cast<std::size_t>(q) * W, acc[r][q]);

@@ -2,7 +2,9 @@
 // Panel packing for the BLIS-style GEMM engine (DESIGN.md §11).
 //
 // gemm_packed copies the A and B blocks a macro-iteration will touch into
-// contiguous 64-byte-aligned buffers before the micro-kernel sweeps them.
+// contiguous 64-byte-aligned buffers before the micro-kernel sweeps them:
+// each work item packs its own A block, and the region's workers pack the
+// shared B block together, a slice of kk rows each.
 // The payoff is the classical one: the micro-kernel then streams both
 // operands at unit stride from small, cache-resident, conflict-free panels
 // instead of striding through the full matrices.
@@ -112,23 +114,24 @@ void pack_a(const Access& a, std::size_t i0, std::size_t k0, std::size_t mcb,
                      static_cast<std::size_t>(N) * mcb * kcb * sizeof(T));
 }
 
-/// Pack the (kcb x ncb) block of B at (k0, j0) into `dst` (N * kcb * ncb
-/// limbs), plane-major. `b` is a layout accessor (layout.hpp). On return
-/// planes[p] points at packed plane p (row stride ncb).
+/// Pack rows [r0, r1) of the (kcb x ncb) block of B at (k0, j0) into the
+/// block's buffer `dst` (N * kcb * ncb limbs, plane p at dst + p*kcb*ncb,
+/// row stride ncb). `b` is a layout accessor (layout.hpp). Disjoint row
+/// ranges write disjoint limbs, so the workers of one region can pack one
+/// block together, each a slice of rows.
 template <typename Access, typename T = typename Access::value_type,
           int N = Access::limbs>
 void pack_b(const Access& b, std::size_t k0, std::size_t j0, std::size_t kcb,
-            std::size_t ncb, T* dst, const T* (&planes)[N]) {
+            std::size_t ncb, std::size_t r0, std::size_t r1, T* dst) {
     for (int p = 0; p < N; ++p) {
         T* plane = dst + static_cast<std::size_t>(p) * kcb * ncb;
-        planes[p] = plane;
-        for (std::size_t kk = 0; kk < kcb; ++kk) {
+        for (std::size_t kk = r0; kk < r1; ++kk) {
             T* out = plane + kk * ncb;
             for (std::size_t j = 0; j < ncb; ++j) out[j] = b.limb(p, k0 + kk, j0 + j);
         }
     }
     MF_TELEM_COUNT_N("mf_gemm_pack_bytes_total{panel=\"b\"}",
-                     static_cast<std::size_t>(N) * kcb * ncb * sizeof(T));
+                     static_cast<std::size_t>(N) * (r1 - r0) * ncb * sizeof(T));
 }
 
 }  // namespace mf::blas::engine

@@ -7,7 +7,8 @@
 //   alloc  -- the Nth pack-scratch reservation throws std::bad_alloc, as a
 //             real `operator new` would under memory pressure
 //             (AlignedBuffer::ensure counts one per reservation);
-//   spawn  -- the Nth std::thread construction in engine::run_pool throws
+//   spawn  -- the Nth std::thread construction of the engine's thread
+//             pool (engine::detail::spawn_workers) throws
 //             std::system_error(resource_unavailable_try_again), as a real
 //             spawn does at the pthread limit;
 //   env    -- at the Nth mid-GEMM checkpoint the calling thread's FP
@@ -84,13 +85,14 @@ inline void reset() noexcept {
     return detail::countdown_hit(detail::state().alloc_countdown);
 }
 
-/// Hook: called by engine::run_pool before each std::thread construction.
+/// Hook: called by engine::detail::spawn_workers before each std::thread
+/// construction.
 [[nodiscard]] inline bool should_fail_spawn() noexcept {
     return detail::countdown_hit(detail::state().spawn_countdown);
 }
 
-/// Hook: mid-call environment checkpoint (e.g. after each pack_b in
-/// gemm_packed). Perturbs the calling thread's live FP environment when
+/// Hook: mid-call environment checkpoint (e.g. before each kc block's
+/// region in gemm_packed). Perturbs the calling thread's live FP environment when
 /// armed; the enclosing Sentinel's exit probe is expected to notice.
 inline void maybe_perturb_env() noexcept {
     if (detail::countdown_hit(detail::state().env_countdown)) {

@@ -5,11 +5,20 @@
 // ever reassociated -- and must serialize itself when called from inside an
 // enclosing parallel region instead of oversubscribing. Every case sweeps
 // all available SIMD backends and both threading substrates (OpenMP and the
-// std::thread fallback pool).
+// std::thread fallback pool). The workers claim their items from a shared
+// counter (engine::parallel_items), so the tests below also pin down that
+// each item runs once, whatever the worker count or a failed spawn.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "blas/engine/threading.hpp"
 #include "check/differ.hpp"
+#include "guard/inject.hpp"
 
 namespace {
 
@@ -79,6 +88,86 @@ TEST(GemmPacked, TinyBlocksForceEdgeTiles) {
     expect_all_clean(diff_gemm_packed<double, 3>(36, 29, 31, 37, {2},
                                                  mf::check::GenConfig{},
                                                  mf::blas::BlockShape{8, 8, 16}));
+}
+
+// Items the workers claim from a shared counter: a shape whose item count
+// is no multiple of the worker count (200 rows at 3 workers: 10 items, and
+// 4 k-blocks of B for the team to pack), at 1-4 workers on both
+// substrates. A skipped or repeated item would show as mismatches.
+TEST(GemmThreads, ItemCountNotAMultipleOfTheWorkers) {
+    expect_all_clean(diff_gemm_packed<double, 2>(37, 200, 300, 136, {1, 2, 3, 4}));
+    expect_all_clean(diff_gemm_packed<double, 3>(38, 200, 300, 136, {1, 2, 3, 4}));
+}
+
+// parallel_items itself: every setup task and every item runs exactly once,
+// every item sees every setup task's plain writes (slow setup tasks make an
+// early start likely, and a thread-sanitizer build flags a missing
+// hand-over), and slots stay below the planned worker count -- at 1-4
+// workers, under both substrates, and with the first or second pool spawn
+// failing.
+TEST(GemmThreads, ParallelItemsRunEachTaskOnceAfterTheSetup) {
+    using blas::engine::ThreadMode;
+    constexpr std::size_t nsetup = 3, nitems = 10;
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+        for (ThreadMode mode : {ThreadMode::automatic, ThreadMode::pool}) {
+            for (long fault : {-1L, 0L, 1L}) {
+                if (fault >= 0) guard::inject::arm_spawn(fault);
+                std::vector<std::atomic<int>> setups(nsetup), items(nitems);
+                std::vector<int> packed(nsetup, 0);  // written by setup, read by items
+                std::atomic<bool> early{false};
+                std::atomic<unsigned> max_slot{0};
+                blas::engine::parallel_items(
+                    nsetup,
+                    [&](std::size_t t) {
+                        setups[t].fetch_add(1);
+                        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                        packed[t] = 1;
+                    },
+                    nitems,
+                    [&](std::size_t item, unsigned slot) {
+                        for (int v : packed) {
+                            if (v != 1) early = true;
+                        }
+                        items[item].fetch_add(1);
+                        unsigned cur = max_slot.load();
+                        while (slot > cur && !max_slot.compare_exchange_weak(cur, slot)) {
+                        }
+                    },
+                    mode, workers);
+                guard::inject::reset();
+                const std::string where = "workers=" + std::to_string(workers) +
+                                          (mode == ThreadMode::pool ? " pool" : " auto") +
+                                          " fault=" + std::to_string(fault);
+                for (std::size_t t = 0; t < nsetup; ++t) EXPECT_EQ(setups[t].load(), 1) << where;
+                for (std::size_t i = 0; i < nitems; ++i) EXPECT_EQ(items[i].load(), 1) << where;
+                EXPECT_FALSE(early.load()) << where;
+                EXPECT_LT(max_slot.load(), workers) << where;
+            }
+        }
+    }
+}
+
+// A failed spawn leaves its items to the other workers: the product stays
+// bit-identical to the reference.
+TEST(GemmThreads, SpawnFaultKeepsTheProductBitIdentical) {
+    constexpr std::size_t n = 200, k = 300, m = 136;
+    std::mt19937_64 rng(39);
+    planar::Vector<double, 2> a, b;
+    mf::check::detail::fill_vectors(rng, n * k, GenConfig{}, a);
+    mf::check::detail::fill_vectors(rng, k * m, GenConfig{}, b);
+    const planar::Vector<double, 2> want = reference_gemm_planar(a, b, n, k, m);
+    for (long fault : {0L, 1L, 2L}) {
+        blas::GemmConfig cfg;
+        cfg.threads = blas::engine::ThreadMode::pool;
+        cfg.max_threads = 4;
+        planar::Vector<double, 2> c(n * m);
+        guard::inject::arm_spawn(fault);
+        blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
+                          planar::matrix_view(c, n, m), cfg);
+        guard::inject::reset();
+        EXPECT_EQ(mf::check::detail::count_mismatches(c, want, n * m), 0u)
+            << "spawn fault " << fault;
+    }
 }
 
 // Degenerate shapes must be exact no-ops (C untouched): zero rows and k,

@@ -180,6 +180,75 @@ TYPED_TEST(PackTyped, EftGatesBitExactPerLane) {
     });
 }
 
+/// Specials for the sign and NaN checks below: signed zeros, infinities,
+/// subnormals, quiet NaNs of both signs (one with a payload) and finite
+/// values either side of them.
+template <typename T>
+std::vector<T> special_values() {
+    using L = std::numeric_limits<T>;
+    const T payload_nan = std::bit_cast<T>(static_cast<Bits<T>>(bits(L::quiet_NaN()) | 5u));
+    std::vector<T> v = {T(0),          -T(0),          L::infinity(), -L::infinity(),
+                        L::denorm_min(), -L::denorm_min(), L::min() / T(3), -L::min() / T(7),
+                        L::quiet_NaN(), -L::quiet_NaN(), payload_nan,    -payload_nan,
+                        T(1.5),        -T(3),          L::max(),      -L::min()};
+    return v;
+}
+
+// Unary minus is a sign flip and nothing else, on every lane of every
+// width, whatever instruction the compiler picks for it (the x86 packs
+// write it as a vector-extension negation so it can fold into an FMA).
+TYPED_TEST(PackTyped, NegationFlipsOnlyTheSignBit) {
+    using T = TypeParam;
+    constexpr Bits<T> sign = Bits<T>{1} << (8 * sizeof(T) - 1);
+    const std::vector<T> vals = special_values<T>();
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        for (std::size_t i = 0; i + W <= vals.size(); ++i) {
+            const P neg = -P::load(vals.data() + i);
+            for (int j = 0; j < W; ++j) {
+                ASSERT_EQ(bits(neg[j]), bits(vals[i + j]) ^ sign)
+                    << "W=" << W << " lane=" << j << " input bits " << bits(vals[i + j]);
+            }
+        }
+    });
+}
+
+// Pack two_prod against lane-wise scalar two_prod, specials included: the
+// x86 packs compute fma(a, b, -p) as one fused multiply-subtract, which
+// must leave every non-NaN result bit unchanged. NaN results compare by
+// classification (a NaN's sign is not pinned down by IEEE).
+TYPED_TEST(PackTyped, TwoProdMatchesScalarOnSpecials) {
+    using T = TypeParam;
+    std::vector<T> vals = special_values<T>();
+    const auto more = sample_values<T>(32, 23);
+    vals.insert(vals.end(), more.begin(), more.end());
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        for (std::size_t i = 0; i + W <= vals.size(); ++i) {
+            for (std::size_t r = 0; r + W <= vals.size(); r += W) {
+                const auto [p, e] =
+                    mf::two_prod(P::load(vals.data() + i), P::load(vals.data() + r));
+                for (int j = 0; j < W; ++j) {
+                    const auto [sp, se] = mf::two_prod(vals[i + j], vals[r + j]);
+                    const auto check = [&](T got, T want, const char* part) {
+                        if (std::isnan(want)) {
+                            ASSERT_TRUE(std::isnan(got)) << part << " W=" << W;
+                        } else {
+                            ASSERT_EQ(bits(got), bits(want))
+                                << part << " W=" << W << " " << vals[i + j] << " * "
+                                << vals[r + j];
+                        }
+                    };
+                    check(p[j], sp, "product");
+                    check(e[j], se, "error");
+                }
+            }
+        }
+    });
+}
+
 /// load_interleaved / store_interleaved for N = 1..4 at every width. The
 /// reference is the primary template at W = 1: its loop, applied to record j
 /// alone, must give lane j of every pack. Stores must round-trip the records
