@@ -148,6 +148,17 @@ void BM_sin_throughput(benchmark::State& state) {
     BENCHMARK(BM_exp_throughput<V>)->Name("exp_throughput/" tag);  \
     BENCHMARK(BM_sin_throughput<V>)->Name("sin_throughput/" tag)
 
+// --- complex throughput (the layer under perfbench's fft_roundtrip) ---------
+// operands<Complex>() leaves the imaginary parts zero; the networks are
+// branch-free, so the time does not depend on the values.
+
+#define MF_BENCH_COMPLEX(C, tag)                                          \
+    BENCHMARK(BM_mul_throughput<C>)->Name("complex_mul_throughput/" tag); \
+    BENCHMARK(BM_add_throughput<C>)->Name("complex_add_throughput/" tag)
+
+MF_BENCH_COMPLEX(mf::Complex64x2, "Complex<double,2>");
+MF_BENCH_COMPLEX(mf::Complex64x3, "Complex<double,3>");
+
 MF_BENCH_ELEM(mf::Float64x2, "MultiFloat<double,2>");
 MF_BENCH_ELEM(mf::Float64x3, "MultiFloat<double,3>");
 MF_BENCH_ELEM(mf::Float64x4, "MultiFloat<double,4>");

@@ -43,7 +43,7 @@ struct MultiFloat {
     /// Exact embedding of a machine number (remaining limbs zero).
     constexpr MultiFloat(T x) noexcept {
         limb[0] = x;
-        for (int i = 1; i < N; ++i) limb[i] = T(0);
+        for (int i = 1; i < N; ++i) limb[i] = T{};
     }
 
     /// Construct from raw limbs. Caller promises nonoverlapping order.

@@ -25,6 +25,8 @@
 #include <array>
 #include <cmath>
 #include <concepts>
+#include <cstddef>
+#include <utility>
 
 #include "../mf/eft.hpp"
 
@@ -65,9 +67,12 @@
 namespace mf::simd {
 
 /// Portable scalar-loop pack: correct for any width, on any target. The
-/// small fixed-trip loops fully unroll; with vector ISAs disabled this is
-/// also the reference implementation the intrinsic specializations must
-/// agree with bit-for-bit (tests/simd_pack_test.cpp).
+/// small fixed-trip loops are unrolled by pragma, so the lanes stay scalar
+/// registers: left to the loop vectorizer, a few of them became vector ops
+/// fed and drained through the stack, and a Complex<double, 3> multiply over
+/// Pack<double, 4> ran 5x slower. With vector ISAs disabled this is also the
+/// reference implementation the intrinsic specializations must agree with
+/// bit-for-bit (tests/simd_pack_test.cpp).
 template <std::floating_point T, int W>
     requires(W >= 1)
 struct Pack {
@@ -80,19 +85,38 @@ struct Pack {
 
     [[nodiscard]] static MF_ALWAYS_INLINE Pack broadcast(T v) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = v;
         return r;
     }
     /// Unaligned load of W consecutive lanes.
     [[nodiscard]] static MF_ALWAYS_INLINE Pack load(const T* p) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = p[i];
         return r;
     }
     MF_ALWAYS_INLINE void store(T* p) const noexcept {
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) p[i] = lane[i];
     }
     [[nodiscard]] MF_ALWAYS_INLINE T operator[](int i) const noexcept { return lane[i]; }
+
+    /// Pack from a lane list: lane i is the i-th argument.
+    template <std::same_as<T>... L>
+        requires(sizeof...(L) == W)
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(L... x) noexcept {
+        Pack r;
+        int i = 0;
+        ((r.lane[i++] = x), ...);
+        return r;
+    }
+    /// The low lanes [0, W/2) and the high lanes [W/2, W) as two packs.
+    [[nodiscard]] MF_ALWAYS_INLINE auto halves() const noexcept
+        requires(W % 2 == 0)
+    {
+        return std::array{Pack<T, W / 2>::load(lane), Pack<T, W / 2>::load(lane + W / 2)};
+    }
 
     /// Deinterleave W consecutive records of N scalars: lane j of pack k is
     /// p[j * N + k]. This is the AoS -> pack transpose of simd/kernels.hpp;
@@ -117,28 +141,33 @@ struct Pack {
 
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] + b.lane[i];
         return r;
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator-(Pack a, Pack b) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] - b.lane[i];
         return r;
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator*(Pack a, Pack b) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] * b.lane[i];
         return r;
     }
     /// Lane-wise IEEE negation (sign-bit flip, exact for -0.0 and NaN too).
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator-(Pack a) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = -a.lane[i];
         return r;
     }
     /// Fused multiply-add, correctly rounded per lane (required by TwoProd).
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack fma(Pack a, Pack b, Pack c) noexcept {
         Pack r;
+#pragma GCC unroll 16
         for (int i = 0; i < W; ++i) r.lane[i] = std::fma(a.lane[i], b.lane[i], c.lane[i]);
         return r;
     }
@@ -156,11 +185,11 @@ struct Pack {
 //                           odd-indexed halves;
 //   zip(even, odd, lo, hi)  the inverse;
 //
-// and load_strided<S>, a pack built from the scalars p[j * S]. N = 2 is one
-// unzip. N = 4 is two rounds of it: the first separates limbs {0, 2} from
-// {1, 3}, the second splits each pair. Any other N loads each limb with
-// load_strided and stores it lane by lane; that direction is cheap, because
-// scalar reads of one wide store do forward.
+// and a lane-list constructor, setr. N = 2 is one unzip. N = 4 is two rounds
+// of it: the first separates limbs {0, 2} from {1, 3}, the second splits each
+// pair. Any other N builds each limb with setr from the scalars p[j * N + k]
+// (load_strided) and stores it lane by lane; that direction is cheap,
+// because scalar reads of one wide store do forward.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -169,6 +198,17 @@ namespace detail {
 /// and store_interleaved, built on P's shuffles as described above.
 template <typename P, typename T>
 struct ShuffleTransposes {
+    /// The pack of the scalars p[j * S], j < W, built in register.
+    template <int S>
+    [[nodiscard]] static MF_ALWAYS_INLINE P load_strided(const T* p) noexcept {
+        return strided<S>(p, std::make_index_sequence<P::width>{});
+    }
+    template <int S, std::size_t... J>
+    [[nodiscard]] static MF_ALWAYS_INLINE P strided(const T* p,
+                                                    std::index_sequence<J...>) noexcept {
+        return P::setr(p[J * S]...);
+    }
+
     template <int N>
     [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved(
         const T* p) noexcept {
@@ -223,9 +263,11 @@ struct ShuffleTransposes {
 
 // ---------------------------------------------------------------------------
 // x86 specializations. Each one is the same five operations + load/store on
-// the ISA's natural register, plus the unzip / zip / load_strided that the
-// record transposes above are built on; fma() uses the fused instruction when
-// compiled with FMA support and per-lane std::fma otherwise (SSE2-era parts).
+// the ISA's natural register, plus the unzip / zip / setr that the record
+// transposes above are built on, and halves(), the split into two packs of
+// half the width (mf/complex.hpp builds and splits its lanes with these two).
+// fma() uses the fused instruction when compiled with FMA support and
+// per-lane std::fma otherwise (SSE2-era parts).
 // Unary minus is the vector-extension negation, not an xor intrinsic: GCC
 // folds it into a consuming FMA, so two_prod's fma(a, b, -p) becomes one
 // vfmsub. The sign flip is exact, so no non-NaN result changes; the NaN
@@ -261,9 +303,17 @@ struct Pack<float, 4> : detail::ShuffleTransposes<Pack<float, 4>, float> {
         lo = Pack(_mm_unpacklo_ps(even.v, odd.v));
         hi = Pack(_mm_unpackhi_ps(even.v, odd.v));
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
-        return Pack(_mm_setr_ps(p[0], p[S], p[2 * S], p[3 * S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(float a, float b,
+                                                    float c, float d) noexcept {
+        return Pack(_mm_setr_ps(a, b, c, d));
+    }
+    /// Lanes {0, 1} and {2, 3} as two portable packs.
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<float, 2>, 2> halves() const noexcept {
+        const __m128 hi = _mm_movehl_ps(v, v);
+        return {Pack<float, 2>::setr(_mm_cvtss_f32(v),
+                                     _mm_cvtss_f32(_mm_shuffle_ps(v, v, 1))),
+                Pack<float, 2>::setr(_mm_cvtss_f32(hi),
+                                     _mm_cvtss_f32(_mm_shuffle_ps(hi, hi, 1)))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_ps(a.v, b.v));
@@ -317,9 +367,13 @@ struct Pack<double, 2> : detail::ShuffleTransposes<Pack<double, 2>, double> {
     static MF_ALWAYS_INLINE void zip(Pack even, Pack odd, Pack& lo, Pack& hi) noexcept {
         unzip(even, odd, lo, hi);  // a 2 x 2 transpose is its own inverse
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
-        return Pack(_mm_setr_pd(p[0], p[S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(double a, double b) noexcept {
+        return Pack(_mm_setr_pd(a, b));
+    }
+    /// Lane 0 and lane 1 as two portable one-lane packs.
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<double, 1>, 2> halves() const noexcept {
+        return {Pack<double, 1>::setr(_mm_cvtsd_f64(v)),
+                Pack<double, 1>::setr(_mm_cvtsd_f64(_mm_unpackhi_pd(v, v)))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_pd(a.v, b.v));
@@ -385,10 +439,14 @@ struct Pack<float, 8> : detail::ShuffleTransposes<Pack<float, 8>, float> {
         lo = Pack(_mm256_unpacklo_ps(e, o));
         hi = Pack(_mm256_unpackhi_ps(e, o));
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
-        return Pack(_mm256_setr_ps(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
-                                   p[6 * S], p[7 * S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(float a, float b, float c, float d,
+                                                    float e, float f, float g,
+                                                    float h) noexcept {
+        return Pack(_mm256_setr_ps(a, b, c, d, e, f, g, h));
+    }
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<float, 4>, 2> halves() const noexcept {
+        return {Pack<float, 4>(_mm256_castps256_ps128(v)),
+                Pack<float, 4>(_mm256_extractf128_ps(v, 1))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_ps(a.v, b.v));
@@ -447,9 +505,13 @@ struct Pack<double, 4> : detail::ShuffleTransposes<Pack<double, 4>, double> {
         lo = Pack(_mm256_unpacklo_pd(e, o));
         hi = Pack(_mm256_unpackhi_pd(e, o));
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
-        return Pack(_mm256_setr_pd(p[0], p[S], p[2 * S], p[3 * S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(double a, double b,
+                                                    double c, double d) noexcept {
+        return Pack(_mm256_setr_pd(a, b, c, d));
+    }
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<double, 2>, 2> halves() const noexcept {
+        return {Pack<double, 2>(_mm256_castpd256_pd128(v)),
+                Pack<double, 2>(_mm256_extractf128_pd(v, 1))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_pd(a.v, b.v));
@@ -514,11 +576,19 @@ struct Pack<float, 16> : detail::ShuffleTransposes<Pack<float, 16>, float> {
         hi = Pack(_mm512_permutex2var_ps(even.v, _mm512_add_epi32(il, _mm512_set1_epi32(8)),
                                          odd.v));
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const float* p) noexcept {
-        return Pack(_mm512_setr_ps(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
-                                   p[6 * S], p[7 * S], p[8 * S], p[9 * S], p[10 * S],
-                                   p[11 * S], p[12 * S], p[13 * S], p[14 * S], p[15 * S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(float a, float b, float c, float d,
+                                                    float e, float f, float g, float h,
+                                                    float i, float j, float k, float l,
+                                                    float m, float n, float o,
+                                                    float p) noexcept {
+        return Pack(_mm512_setr_ps(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p));
+    }
+    // The 512-bit cast and extract intrinsics trip GCC 12's
+    // -Wmaybe-uninitialized (their masked forms start from an undefined
+    // vector); the generic shuffle is the same vextractf32x8.
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<float, 8>, 2> halves() const noexcept {
+        return {Pack<float, 8>(__builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7)),
+                Pack<float, 8>(__builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_ps(a.v, b.v));
@@ -568,10 +638,16 @@ struct Pack<double, 8> : detail::ShuffleTransposes<Pack<double, 8>, double> {
         hi = Pack(_mm512_permutex2var_pd(even.v, _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
                                          odd.v));
     }
-    template <int S>
-    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_strided(const double* p) noexcept {
-        return Pack(_mm512_setr_pd(p[0], p[S], p[2 * S], p[3 * S], p[4 * S], p[5 * S],
-                                   p[6 * S], p[7 * S]));
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack setr(double a, double b, double c, double d,
+                                                    double e, double f, double g,
+                                                    double h) noexcept {
+        return Pack(_mm512_setr_pd(a, b, c, d, e, f, g, h));
+    }
+    // Shuffles, not _mm512_castpd512_pd256 / _mm512_extractf64x4_pd: see
+    // Pack<float, 16>::halves.
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<double, 4>, 2> halves() const noexcept {
+        return {Pack<double, 4>(__builtin_shufflevector(v, v, 0, 1, 2, 3)),
+                Pack<double, 4>(__builtin_shufflevector(v, v, 4, 5, 6, 7))};
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_pd(a.v, b.v));
@@ -596,12 +672,25 @@ struct Pack<double, 8> : detail::ShuffleTransposes<Pack<double, 8>, double> {
 
 namespace detail {
 
-/// NEON's load_interleaved / store_interleaved: the portable transpose
-/// through a lane buffer, which pays the store-forwarding stall the x86
-/// packs avoid. vld2q/vld3q/vld4q and their stores would do it in register;
-/// they stay unwritten until they can be tested on an Arm target.
+/// NEON's load_interleaved / store_interleaved, setr and halves: the
+/// portable forms through a lane buffer, which pay the store-forwarding
+/// stall the x86 packs avoid. vld2q/vld3q/vld4q, vcombine and vget_low/high
+/// would do them in register; they stay unwritten until they can be tested
+/// on an Arm target.
 template <typename P, typename T>
 struct BufferTransposes {
+    template <std::same_as<T>... L>
+        requires(sizeof...(L) == P::width)
+    [[nodiscard]] static MF_ALWAYS_INLINE P setr(L... x) noexcept {
+        const T buf[] = {x...};
+        return P::load(buf);
+    }
+    [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<T, P::width / 2>, 2> halves()
+        const noexcept {
+        T buf[P::width];
+        static_cast<const P&>(*this).store(buf);
+        return {Pack<T, P::width / 2>::load(buf), Pack<T, P::width / 2>::load(buf + P::width / 2)};
+    }
     template <int N>
     [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved(
         const T* p) noexcept {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <type_traits>
 
 #include "mf/complex.hpp"
 #include "support.hpp"
@@ -18,6 +22,95 @@ using mf::test::exact;
 template <int N>
 Complex<double, N> random_z(std::mt19937_64& rng) {
     return {adversarial<double, N>(rng, -8, 8), adversarial<double, N>(rng, -8, 8)};
+}
+
+// The component formula the lane form of complex.hpp replaced, written out
+// with mf::add / sub / mul. Every limb of *, +, -, /, norm and abs must equal
+// it bit for bit; NaNs compare by NaN-ness only (their sign may differ).
+template <FloatingPoint T, int N>
+struct ComponentFormula {
+    using C = Complex<T, N>;
+    using M = MultiFloat<T, N>;
+    static C mul(const C& a, const C& b) {
+        return {sub(mf::mul(a.re, b.re), mf::mul(a.im, b.im)),
+                add(mf::mul(a.re, b.im), mf::mul(a.im, b.re))};
+    }
+    static M norm(const C& z) { return add(mf::mul(z.re, z.re), mf::mul(z.im, z.im)); }
+    static C div(const C& a, const C& b) {
+        const M inv = recip(norm(b));
+        const C num = mul(a, conj(b));
+        return {mf::mul(num.re, inv), mf::mul(num.im, inv)};
+    }
+};
+
+template <FloatingPoint T>
+bool same_limb(T got, T want) {
+    using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    if (std::isnan(want)) return std::isnan(got);
+    return std::bit_cast<Bits>(got) == std::bit_cast<Bits>(want);
+}
+
+/// A random expansion, each limb replaced with probability 1/8 by a
+/// special: +-0, +-Inf, NaN or a subnormal.
+template <FloatingPoint T, int N>
+MultiFloat<T, N> limb_mix(std::mt19937_64& rng) {
+    using L = std::numeric_limits<T>;
+    const T specials[] = {T(0),           -T(0),          L::infinity(),
+                          -L::infinity(), L::quiet_NaN(), L::denorm_min() * T(5),
+                          -L::min() / T(3)};
+    MultiFloat<T, N> x = mf::test::adversarial<T, N>(rng, -8, 8, rng() % 4 == 0);
+    for (int k = 0; k < N; ++k) {
+        if (rng() % 8 == 0) x.limb[k] = specials[rng() % std::size(specials)];
+    }
+    if (rng() % 16 == 0) x = MultiFloat<T, N>(T(0));
+    return x;
+}
+
+template <FloatingPoint T, int N>
+void expect_lane_form_matches(std::uint64_t seed, int cases) {
+    using C = Complex<T, N>;
+    using Ref = ComponentFormula<T, N>;
+    std::mt19937_64 rng(seed);
+    const auto expect_same = [](const MultiFloat<T, N>& got, const MultiFloat<T, N>& want,
+                                const char* op, int i) {
+        for (int k = 0; k < N; ++k) {
+            EXPECT_TRUE(same_limb(got.limb[k], want.limb[k]))
+                << op << " N=" << N << " case " << i << " limb " << k << ": "
+                << got.limb[k] << " vs " << want.limb[k];
+        }
+    };
+    for (int i = 0; i < cases; ++i) {
+        const C a(limb_mix<T, N>(rng), limb_mix<T, N>(rng));
+        const C b = i % 4 == 0 ? conj(a) : C(limb_mix<T, N>(rng), limb_mix<T, N>(rng));
+        const C p = a * b;
+        const C want_p = Ref::mul(a, b);
+        expect_same(p.re, want_p.re, "mul.re", i);
+        expect_same(p.im, want_p.im, "mul.im", i);
+        const C s = a + b;
+        expect_same(s.re, add(a.re, b.re), "add.re", i);
+        expect_same(s.im, add(a.im, b.im), "add.im", i);
+        const C d = a - b;
+        expect_same(d.re, sub(a.re, b.re), "sub.re", i);
+        expect_same(d.im, sub(a.im, b.im), "sub.im", i);
+        const C q = a / b;
+        const C want_q = Ref::div(a, b);
+        expect_same(q.re, want_q.re, "div.re", i);
+        expect_same(q.im, want_q.im, "div.im", i);
+        expect_same(norm(a), Ref::norm(a), "norm", i);
+        expect_same(mf::abs(a), sqrt(Ref::norm(a)), "abs", i);
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(Complex, LaneFormMatchesComponentFormula) {
+    expect_lane_form_matches<double, 1>(11, 4000);
+    expect_lane_form_matches<double, 2>(12, 4000);
+    expect_lane_form_matches<double, 3>(13, 4000);
+    expect_lane_form_matches<double, 4>(14, 4000);
+    expect_lane_form_matches<float, 1>(15, 4000);
+    expect_lane_form_matches<float, 2>(16, 4000);
+    expect_lane_form_matches<float, 3>(17, 4000);
+    expect_lane_form_matches<float, 4>(18, 4000);
 }
 
 TEST(Complex, ConjugateProductIsExactlyReal) {

@@ -7,7 +7,8 @@
 // specializations the compiler enabled (see MF_SIMD_HAVE_* in pack.hpp);
 // with MF_SIMD_FORCE_SCALAR they all collapse to the portable fallback and
 // the same assertions must still hold. The interleaved (AoS record)
-// load/store of every width must match the primary template's loop.
+// load/store of every width must match the primary template's loop, and so
+// must the lane primitives the complex kernels use: setr and halves.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <limits>
 #include <random>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simd/simd.hpp"
@@ -289,6 +291,44 @@ TYPED_TEST(PackTyped, InterleavedRoundTripMatchesPrimaryTemplate) {
         check_limbs(std::integral_constant<int, 2>{});
         check_limbs(std::integral_constant<int, 3>{});
         check_limbs(std::integral_constant<int, 4>{});
+    });
+}
+
+/// setr and halves at every width, against the primary template's loops:
+/// setr(x_0, ..., x_{W-1}) must equal load() of the same scalars, and
+/// halves() must give lanes [0, W/2) and [W/2, W) as packs of width W/2.
+/// Nothing rounds, so every bit must survive, NaN payloads and signed
+/// zeros included.
+TYPED_TEST(PackTyped, SetrAndHalvesMatchPrimaryTemplate) {
+    using T = TypeParam;
+    std::vector<T> vals = special_values<T>();
+    const auto more = sample_values<T>(32, 41);
+    vals.insert(vals.end(), more.begin(), more.end());
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        for (std::size_t i = 0; i + W <= vals.size(); ++i) {
+            const T* src = vals.data() + i;
+            const P p = [&]<std::size_t... J>(std::index_sequence<J...>) {
+                return P::setr(src[J]...);
+            }(std::make_index_sequence<W>{});
+            const P ref = P::load(src);
+            for (int j = 0; j < W; ++j) {
+                ASSERT_EQ(bits(p[j]), bits(ref[j])) << "setr W=" << W << " lane=" << j;
+                ASSERT_EQ(bits(p[j]), bits(src[j])) << "setr W=" << W << " lane=" << j;
+            }
+            if constexpr (W % 2 == 0) {
+                using H = Pack<T, W / 2>;
+                const auto [lo, hi] = p.halves();
+                static_assert(std::is_same_v<std::remove_cvref_t<decltype(lo)>, H>);
+                const H want_lo = H::load(src);
+                const H want_hi = H::load(src + W / 2);
+                for (int j = 0; j < W / 2; ++j) {
+                    ASSERT_EQ(bits(lo[j]), bits(want_lo[j])) << "halves W=" << W << " lane=" << j;
+                    ASSERT_EQ(bits(hi[j]), bits(want_hi[j])) << "halves W=" << W << " lane=" << j;
+                }
+            }
+        }
     });
 }
 
