@@ -122,8 +122,10 @@ struct JsonRecord {
                           // (the document-level "threads" stamp), omitted
     // Optional, omitted when empty/zero:
     std::string op{};        // the entry a "blas_entry" / "lu_update" record timed:
-                             // "axpy", "dot" / "gemm_packed", "blas_gemm"
-    std::size_t k = 0;       // GEMM inner dimension when it is not `dim` (n x k x n)
+                             // "axpy", "dot", "ger", "iamax" / "gemm_packed",
+                             // "blas_gemm"
+    std::size_t k = 0;       // GEMM inner dimension when it is not `dim` (n x k x n);
+                             // a ger's column count (dim rows x k columns)
     std::string guard{};     // MF_GUARD_POLICY the record ran under
     double ceiling_ns = 0.0; // the same work without the entry's fixed costs
 };

@@ -109,14 +109,22 @@ namespace detail {
 
 /// Sequential unpacked fallback over layout accessors: ikj order, one
 /// kk-ascending add(mul(a_ik, b_kj), c_ij) per element, W
-/// columns at a time through the accessors' pack loads plus a scalar tail.
-/// Bit-identical to the packed loop nest for every layout and pack width --
-/// which is why gemm_accumulate may switch to this path when panel scratch
-/// cannot be allocated without changing a single result bit.
+/// columns at a time through the accessors' pack loads plus a scalar tail,
+/// after zeroing C when `zero_c`. Bit-identical to the packed loop nest for
+/// every layout and pack width -- which is why gemm_accumulate may switch
+/// to this path when panel scratch cannot be allocated without changing a
+/// single result bit.
 template <typename AAccess, typename BAccess, typename CAccess>
-void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c) {
+void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c, bool zero_c) {
     using T = typename CAccess::value_type;
     constexpr int N = CAccess::limbs;
+    if (zero_c) {
+        for (std::size_t i = 0; i < c.rows; ++i) {
+            for (std::size_t j = 0; j < c.cols; ++j) {
+                for (int p = 0; p < N; ++p) c.limb(p, i, j) = T(0);
+            }
+        }
+    }
     simd::with_active_width<T>([&](auto w) {
         constexpr int W = w();
         using P = simd::Pack<T, W>;
@@ -147,9 +155,13 @@ void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c) {
 }  // namespace detail
 
 /// The packed loop nest: C += A B over layout accessors (layout.hpp), so the
-/// same code runs planar and AoS operands. Unguarded: the public entries
-/// (gemm_packed below, blas::gemm) own the FP-environment sentinel and pass
-/// `nominal_env` = whether it enforced, so the workers enforce too.
+/// same code runs planar and AoS operands; with `zero_c`, C = A B: each work
+/// item starts its own C block from zero on the first kc block (blas::gemm's
+/// overwrite, with no serial zeroing pass and no read of C's prior
+/// contents). k must then be nonzero, or no item runs. Unguarded: the
+/// public entries (gemm_packed below, blas::gemm) own the FP-environment
+/// sentinel and pass `nominal_env` = whether it enforced, so the workers
+/// enforce too.
 ///
 /// Robustness (DESIGN.md §12): ALL panel scratch -- the shared B panel plus
 /// one A block per worker slot -- is reserved before any C element is
@@ -159,7 +171,8 @@ void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c) {
 /// reserved worst case.
 template <typename AAccess, typename BAccess, typename CAccess>
 void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
-                     const GemmConfig& cfg = {}, bool nominal_env = false) {
+                     const GemmConfig& cfg = {}, bool nominal_env = false,
+                     bool zero_c = false) {
     using T = typename CAccess::value_type;
     constexpr int N = CAccess::limbs;
     const std::size_t n = c.rows;
@@ -204,7 +217,7 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
             scratch.ensure(b_len + plan.workers * a_len);
         } catch (const std::bad_alloc&) {
             MF_TELEM_COUNT_N("mf_guard_degraded_total{path=\"alloc\"}", 1);
-            detail::gemm_unpacked(a, b, c);
+            detail::gemm_unpacked(a, b, c, zero_c);
             return;
         }
         T* const bbuf = scratch.data();
@@ -214,6 +227,7 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
             const std::size_t splits = std::min(plan.col_splits, jpanels);
             for (std::size_t pc = 0; pc < k; pc += bs.kc) {
                 const std::size_t kcb = std::min(bs.kc, k - pc);
+                const bool fresh = zero_c && pc == 0;
                 const T* bpk[N];
                 for (int p = 0; p < N; ++p) {
                     bpk[p] = bbuf + static_cast<std::size_t>(p) * kcb * ncb;
@@ -254,10 +268,11 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
                                 for (int p = 0; p < N; ++p) apt[p] = apk[p] + ir * kcb;
                                 MF_TELEM_COUNT("mf_gemm_microkernel_total");
                                 if (mrb == MR && nrb == NR) {
-                                    MK::full(apt, kcb, bpt, ncb, c, ic + ir, jc + jr, kcb);
+                                    MK::full(apt, kcb, bpt, ncb, c, ic + ir, jc + jr, kcb,
+                                             fresh);
                                 } else {
                                     MK::edge(apt, kcb, bpt, ncb, c, ic + ir, jc + jr, kcb,
-                                             mrb, nrb);
+                                             mrb, nrb, fresh);
                                 }
                             }
                         }

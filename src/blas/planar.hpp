@@ -19,8 +19,8 @@
 //
 // The elementwise ranges and the dot reduction are executed by the explicit
 // pack kernels of mf::simd (runtime-dispatched to the widest available
-// backend, scalar tail loop for the remainder) instead of relying on the
-// auto-vectorizer; see src/simd/ and DESIGN.md "SIMD backend". Planar GEMM
+// backend; the ranges end on one partial pack, the reduction on a scalar
+// tail) instead of relying on the auto-vectorizer; see src/simd/ and DESIGN.md "SIMD backend". Planar GEMM
 // is blas::gemm_packed (engine/gemm_packed.hpp) over the matrix views below.
 
 #include <cstddef>
@@ -194,7 +194,8 @@ void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
         ap[p] = a.plane(p);
         xp[p] = x.plane(p);
     }
-    // One backend resolve for all n row reductions.
+    // One backend resolve and one element count for all n row reductions.
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot\"}", n * m);
     simd::with_active_width<T>([&](auto w) {
         for (std::size_t i = 0; i < n; ++i) {
             const T* arow[N];

@@ -4,8 +4,11 @@
 // The switch compiles one instantiation per backend that pack.hpp compiled
 // intrinsics for (guarded by the same MF_SIMD_HAVE_* macros), plus the
 // always-present scalar fallback, and jumps to the one active_backend()
-// names. The branch is per-*range*, not per-element: each callee is a long
-// straight-line pack loop, so dispatch cost is noise.
+// names. The branch is per kernel call, not per element. Each entry below
+// also counts its elements once in mf_simd_kernel_ops_total{kernel=...};
+// a caller issuing many short calls resolves the width once with
+// with_active_width, calls the kernels:: templates directly, and counts its
+// own total (blas::ger, planar::gemv).
 
 #include <cstddef>
 #include <type_traits>
@@ -20,7 +23,7 @@ namespace mf::simd {
 namespace detail {
 
 #if MF_TELEMETRY_ENABLED
-/// One dispatch-decision event per dispatched *range* (not per element).
+/// One dispatch-decision event per kernel call (not per element).
 /// All five series are pre-registered so the exposition always shows the
 /// roads not taken; ids resolve once, the steady-state cost is one
 /// thread-local increment per kernel call.
@@ -91,6 +94,7 @@ MF_ALWAYS_INLINE decltype(auto) with_active_width(F&& f) {
 template <std::floating_point T, int N>
 void add_range(const T* const* xp, const T* const* yp, T* const* zp,
                std::size_t i0, std::size_t i1) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"add_range\"}", i1 - i0);
     detail::with_pack_width<T>([&](auto w) {
         kernels::add_range<T, N, w()>(xp, yp, zp, i0, i1);
     });
@@ -100,6 +104,7 @@ void add_range(const T* const* xp, const T* const* yp, T* const* zp,
 template <std::floating_point T, int N>
 void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
                std::size_t i0, std::size_t i1) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"fma_range\"}", i1 - i0);
     detail::with_pack_width<T>([&](auto w) {
         kernels::fma_range<T, N, w()>(alpha, xp, yp, i0, i1);
     });
@@ -109,6 +114,7 @@ void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
 template <std::floating_point T, int N>
 [[nodiscard]] MultiFloat<T, N> dot(const T* const* xp, const T* const* yp,
                                    std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot\"}", n);
     return detail::with_pack_width<T>([&](auto w) {
         return kernels::dot<T, N, w()>(xp, yp, n);
     });
@@ -118,8 +124,18 @@ template <std::floating_point T, int N>
 template <std::floating_point T, int N>
 void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
               MultiFloat<T, N>* y, std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"axpy_aos\"}", n);
     detail::with_pack_width<T>([&](auto w) {
         kernels::axpy_aos<T, N, w()>(alpha, x, y, n);
+    });
+}
+
+/// AoS x = x * alpha on the active backend.
+template <std::floating_point T, int N>
+void scal_aos(const MultiFloat<T, N>& alpha, MultiFloat<T, N>* x, std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"scal_aos\"}", n);
+    detail::with_pack_width<T>([&](auto w) {
+        kernels::scal_aos<T, N, w()>(alpha, x, n);
     });
 }
 
@@ -127,8 +143,18 @@ void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
 template <std::floating_point T, int N>
 [[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
                                        const MultiFloat<T, N>* y, std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot_aos\"}", n);
     return detail::with_pack_width<T>([&](auto w) {
         return kernels::dot_aos<T, N, w()>(x, y, n);
+    });
+}
+
+/// AoS index of the largest magnitude on the active backend.
+template <std::floating_point T, int N>
+[[nodiscard]] std::size_t iamax_aos(const MultiFloat<T, N>* x, std::size_t n) {
+    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"iamax_aos\"}", n);
+    return detail::with_pack_width<T>([&](auto w) {
+        return kernels::iamax_aos<T, N, w()>(x, n);
     });
 }
 

@@ -21,6 +21,13 @@
 // Every pack also converts W interleaved records of N scalars -- W elements
 // of an AoS MultiFloat array -- into N packs and back: load_interleaved and
 // store_interleaved. The x86 packs do it with register shuffles.
+//
+// Partial packs end a kernel's sweep: load_n / store_n move the first
+// `count` < W lanes of one pack and load_interleaved_n /
+// store_interleaved_n the first `count` records, touching nothing past
+// them. AVX2 and AVX-512 use masked moves; SSE2, NEON and the primary
+// template copy lane by lane. A lane compare and a bit select, cmp_lt and
+// select, let a kernel pick per lane without a branch.
 
 #include <array>
 #include <cmath>
@@ -139,6 +146,55 @@ struct Pack {
         }
     }
 
+    /// Lanes [0, count) from p[0, count), the others zero (0 <= count <= W).
+    /// Nothing at or past p[count] is read.
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_n(const T* p, int count) noexcept {
+        Pack r;
+        for (int i = 0; i < count; ++i) r.lane[i] = p[i];
+        return r;
+    }
+    /// Lanes [0, count) to p[0, count); nothing at or past p[count] is written.
+    MF_ALWAYS_INLINE void store_n(T* p, int count) const noexcept {
+        for (int i = 0; i < count; ++i) p[i] = lane[i];
+    }
+    /// load_interleaved of the first `count` records (0 <= count <= W): lanes
+    /// [count, W) are zero and nothing at or past p[count * N] is read.
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<Pack, N> load_interleaved_n(
+        const T* p, int count) noexcept {
+        std::array<Pack, N> r;
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < count; ++j) r[k].lane[j] = p[j * N + k];
+        }
+        return r;
+    }
+    /// store_interleaved of lanes [0, count): nothing at or past p[count * N]
+    /// is written.
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved_n(const std::array<Pack, N>& v, T* p,
+                                                     int count) noexcept {
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < count; ++j) p[j * N + k] = v[k].lane[j];
+        }
+    }
+
+    /// Per-lane truth values of cmp_lt, consumed by select.
+    using Mask = std::array<bool, W>;
+    /// Lane-wise a < b; false where either lane is NaN (an ordered compare).
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        Mask m;
+#pragma GCC unroll 16
+        for (int i = 0; i < W; ++i) m[i] = a.lane[i] < b.lane[i];
+        return m;
+    }
+    /// Lane-wise m ? x : y, a bit copy: NaN payloads and zero signs survive.
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        Pack r;
+#pragma GCC unroll 16
+        for (int i = 0; i < W; ++i) r.lane[i] = m[i] ? x.lane[i] : y.lane[i];
+        return r;
+    }
+
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         Pack r;
 #pragma GCC unroll 16
@@ -190,14 +246,36 @@ struct Pack {
 // pair. Any other N builds each limb with setr from the scalars p[j * N + k]
 // (load_strided) and stores it lane by lane; that direction is cheap,
 // because scalar reads of one wide store do forward.
+//
+// The partial forms move the N chunks of W scalars with load_n / store_n
+// instead of whole-pack moves, so they read and write nothing past the last
+// record and share the shuffles above. AVX2 and AVX-512 packs override
+// load_n / store_n with masked moves; the defaults here copy lane by lane
+// (SSE2 has no masked load). N = 3 goes through a zero-padded lane buffer.
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
+/// Lane-by-lane partial moves (see the primary template's load_n/store_n)
+/// for the specializations without masked moves: SSE2 and NEON.
+template <typename P, typename T>
+struct LaneCopyPartials {
+    [[nodiscard]] static MF_ALWAYS_INLINE P load_n(const T* p, int count) noexcept {
+        T buf[P::width] = {};
+        for (int j = 0; j < count; ++j) buf[j] = p[j];
+        return P::load(buf);
+    }
+    MF_ALWAYS_INLINE void store_n(T* p, int count) const noexcept {
+        T buf[P::width];
+        static_cast<const P&>(*this).store(buf);
+        for (int j = 0; j < count; ++j) p[j] = buf[j];
+    }
+};
+
 /// Base of every x86 specialization P (scalar type T): its load_interleaved
 /// and store_interleaved, built on P's shuffles as described above.
 template <typename P, typename T>
-struct ShuffleTransposes {
+struct ShuffleTransposes : LaneCopyPartials<P, T> {
     /// The pack of the scalars p[j * S], j < W, built in register.
     template <int S>
     [[nodiscard]] static MF_ALWAYS_INLINE P load_strided(const T* p) noexcept {
@@ -209,51 +287,110 @@ struct ShuffleTransposes {
         return P::setr(p[J * S]...);
     }
 
+    /// Chunks c[i] = scalars [i * W, (i + 1) * W) of N records -> N limb
+    /// packs, for N = 1, 2, 4.
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> unzip_chunks(
+        const std::array<P, N>& c) noexcept {
+        if constexpr (N == 1) {
+            return c;
+        } else if constexpr (N == 2) {
+            std::array<P, N> r;
+            P::unzip(c[0], c[1], r[0], r[1]);
+            return r;
+        } else {
+            static_assert(N == 4);
+            std::array<P, N> r;
+            P e0, o0, e1, o1;
+            P::unzip(c[0], c[1], e0, o0);
+            P::unzip(c[2], c[3], e1, o1);
+            P::unzip(e0, e1, r[0], r[2]);
+            P::unzip(o0, o1, r[1], r[3]);
+            return r;
+        }
+    }
+    /// The inverse of unzip_chunks.
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> zip_chunks(
+        const std::array<P, N>& v) noexcept {
+        if constexpr (N == 1) {
+            return v;
+        } else if constexpr (N == 2) {
+            std::array<P, N> c;
+            P::zip(v[0], v[1], c[0], c[1]);
+            return c;
+        } else {
+            static_assert(N == 4);
+            std::array<P, N> c;
+            P e0, e1, o0, o1;
+            P::zip(v[0], v[2], e0, e1);
+            P::zip(v[1], v[3], o0, o1);
+            P::zip(e0, o0, c[0], c[1]);
+            P::zip(e1, o1, c[2], c[3]);
+            return c;
+        }
+    }
+    /// Scalars of chunk i among the first `count` records of N.
+    template <int N>
+    [[nodiscard]] static constexpr int chunk_count(int i, int count) noexcept {
+        const int c = N * count - i * P::width;
+        return c < 0 ? 0 : c > P::width ? P::width : c;
+    }
+
     template <int N>
     [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved(
         const T* p) noexcept {
-        constexpr int W = P::width;
-        std::array<P, N> r;
-        if constexpr (N == 1) {
-            r[0] = P::load(p);
-        } else if constexpr (N == 2) {
-            P::unzip(P::load(p), P::load(p + W), r[0], r[1]);
-        } else if constexpr (N == 4) {
-            P e0, o0, e1, o1;
-            P::unzip(P::load(p), P::load(p + W), e0, o0);
-            P::unzip(P::load(p + 2 * W), P::load(p + 3 * W), e1, o1);
-            P::unzip(e0, e1, r[0], r[2]);
-            P::unzip(o0, o1, r[1], r[3]);
+        if constexpr (N == 1 || N == 2 || N == 4) {
+            std::array<P, N> c;
+            for (int i = 0; i < N; ++i) c[i] = P::load(p + i * P::width);
+            return unzip_chunks<N>(c);
         } else {
+            std::array<P, N> r;
             for (int k = 0; k < N; ++k) r[k] = P::template load_strided<N>(p + k);
+            return r;
         }
-        return r;
     }
 
     template <int N>
     static MF_ALWAYS_INLINE void store_interleaved(const std::array<P, N>& v,
                                                    T* p) noexcept {
-        constexpr int W = P::width;
-        if constexpr (N == 1) {
-            v[0].store(p);
-        } else if constexpr (N == 2) {
-            P lo, hi;
-            P::zip(v[0], v[1], lo, hi);
-            lo.store(p);
-            hi.store(p + W);
-        } else if constexpr (N == 4) {
-            P e0, e1, o0, o1, lo, hi;
-            P::zip(v[0], v[2], e0, e1);
-            P::zip(v[1], v[3], o0, o1);
-            P::zip(e0, o0, lo, hi);
-            lo.store(p);
-            hi.store(p + W);
-            P::zip(e1, o1, lo, hi);
-            lo.store(p + 2 * W);
-            hi.store(p + 3 * W);
+        if constexpr (N == 1 || N == 2 || N == 4) {
+            const std::array<P, N> c = zip_chunks<N>(v);
+            for (int i = 0; i < N; ++i) c[i].store(p + i * P::width);
         } else {
             for (int k = 0; k < N; ++k) {
-                for (int j = 0; j < W; ++j) p[j * N + k] = v[k][j];
+                for (int j = 0; j < P::width; ++j) p[j * N + k] = v[k][j];
+            }
+        }
+    }
+
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved_n(
+        const T* p, int count) noexcept {
+        if constexpr (N == 1 || N == 2 || N == 4) {
+            std::array<P, N> c;
+            for (int i = 0; i < N; ++i) {
+                c[i] = P::load_n(p + i * P::width, chunk_count<N>(i, count));
+            }
+            return unzip_chunks<N>(c);
+        } else {
+            T buf[N * P::width] = {};
+            for (int i = 0; i < N * count; ++i) buf[i] = p[i];
+            return load_interleaved<N>(buf);
+        }
+    }
+
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved_n(const std::array<P, N>& v, T* p,
+                                                     int count) noexcept {
+        if constexpr (N == 1 || N == 2 || N == 4) {
+            const std::array<P, N> c = zip_chunks<N>(v);
+            for (int i = 0; i < N; ++i) {
+                c[i].store_n(p + i * P::width, chunk_count<N>(i, count));
+            }
+        } else {
+            for (int k = 0; k < N; ++k) {
+                for (int j = 0; j < count; ++j) p[j * N + k] = v[k][j];
             }
         }
     }
@@ -266,6 +403,9 @@ struct ShuffleTransposes {
 // the ISA's natural register, plus the unzip / zip / setr that the record
 // transposes above are built on, and halves(), the split into two packs of
 // half the width (mf/complex.hpp builds and splits its lanes with these two).
+// cmp_lt is the ordered (_CMP_LT_OQ) compare into the ISA's mask -- a k
+// register on AVX-512, an all-ones lane vector below it -- and select the
+// matching blend. AVX2 and AVX-512 add masked load_n / store_n.
 // fma() uses the fused instruction when compiled with FMA support and
 // per-lane std::fma otherwise (SSE2-era parts).
 // Unary minus is the vector-extension negation, not an xor intrinsic: GCC
@@ -314,6 +454,13 @@ struct Pack<float, 4> : detail::ShuffleTransposes<Pack<float, 4>, float> {
                                      _mm_cvtss_f32(_mm_shuffle_ps(v, v, 1))),
                 Pack<float, 2>::setr(_mm_cvtss_f32(hi),
                                      _mm_cvtss_f32(_mm_shuffle_ps(hi, hi, 1)))};
+    }
+    using Mask = __m128;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm_cmplt_ps(a.v, b.v);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm_or_ps(_mm_and_ps(m, x.v), _mm_andnot_ps(m, y.v)));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_ps(a.v, b.v));
@@ -374,6 +521,13 @@ struct Pack<double, 2> : detail::ShuffleTransposes<Pack<double, 2>, double> {
     [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<double, 1>, 2> halves() const noexcept {
         return {Pack<double, 1>::setr(_mm_cvtsd_f64(v)),
                 Pack<double, 1>::setr(_mm_cvtsd_f64(_mm_unpackhi_pd(v, v)))};
+    }
+    using Mask = __m128d;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm_cmplt_pd(a.v, b.v);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm_or_pd(_mm_and_pd(m, x.v), _mm_andnot_pd(m, y.v)));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm_add_pd(a.v, b.v));
@@ -448,6 +602,24 @@ struct Pack<float, 8> : detail::ShuffleTransposes<Pack<float, 8>, float> {
         return {Pack<float, 4>(_mm256_castps256_ps128(v)),
                 Pack<float, 4>(_mm256_extractf128_ps(v, 1))};
     }
+    /// Masked partial moves: lanes [0, count) of the vector are live.
+    [[nodiscard]] static MF_ALWAYS_INLINE __m256i live(int count) noexcept {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(count),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_n(const float* p, int count) noexcept {
+        return Pack(_mm256_maskload_ps(p, live(count)));
+    }
+    MF_ALWAYS_INLINE void store_n(float* p, int count) const noexcept {
+        _mm256_maskstore_ps(p, live(count), v);
+    }
+    using Mask = __m256;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm256_blendv_ps(y.v, x.v, m));
+    }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_ps(a.v, b.v));
     }
@@ -512,6 +684,23 @@ struct Pack<double, 4> : detail::ShuffleTransposes<Pack<double, 4>, double> {
     [[nodiscard]] MF_ALWAYS_INLINE std::array<Pack<double, 2>, 2> halves() const noexcept {
         return {Pack<double, 2>(_mm256_castpd256_pd128(v)),
                 Pack<double, 2>(_mm256_extractf128_pd(v, 1))};
+    }
+    /// Masked partial moves: lanes [0, count) of the vector are live.
+    [[nodiscard]] static MF_ALWAYS_INLINE __m256i live(int count) noexcept {
+        return _mm256_cmpgt_epi64(_mm256_set1_epi64x(count), _mm256_setr_epi64x(0, 1, 2, 3));
+    }
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_n(const double* p, int count) noexcept {
+        return Pack(_mm256_maskload_pd(p, live(count)));
+    }
+    MF_ALWAYS_INLINE void store_n(double* p, int count) const noexcept {
+        _mm256_maskstore_pd(p, live(count), v);
+    }
+    using Mask = __m256d;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm256_blendv_pd(y.v, x.v, m));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm256_add_pd(a.v, b.v));
@@ -590,6 +779,20 @@ struct Pack<float, 16> : detail::ShuffleTransposes<Pack<float, 16>, float> {
         return {Pack<float, 8>(__builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7)),
                 Pack<float, 8>(__builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15))};
     }
+    /// Masked partial moves: the low `count` bits of the mask are live.
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_n(const float* p, int count) noexcept {
+        return Pack(_mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << count) - 1u), p));
+    }
+    MF_ALWAYS_INLINE void store_n(float* p, int count) const noexcept {
+        _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << count) - 1u), v);
+    }
+    using Mask = __mmask16;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm512_cmp_ps_mask(a.v, b.v, _CMP_LT_OQ);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm512_mask_blend_ps(m, y.v, x.v));
+    }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_ps(a.v, b.v));
     }
@@ -649,6 +852,20 @@ struct Pack<double, 8> : detail::ShuffleTransposes<Pack<double, 8>, double> {
         return {Pack<double, 4>(__builtin_shufflevector(v, v, 0, 1, 2, 3)),
                 Pack<double, 4>(__builtin_shufflevector(v, v, 4, 5, 6, 7))};
     }
+    /// Masked partial moves: the low `count` bits of the mask are live.
+    [[nodiscard]] static MF_ALWAYS_INLINE Pack load_n(const double* p, int count) noexcept {
+        return Pack(_mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << count) - 1u), p));
+    }
+    MF_ALWAYS_INLINE void store_n(double* p, int count) const noexcept {
+        _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << count) - 1u), v);
+    }
+    using Mask = __mmask8;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(_mm512_mask_blend_pd(m, y.v, x.v));
+    }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(_mm512_add_pd(a.v, b.v));
     }
@@ -672,13 +889,13 @@ struct Pack<double, 8> : detail::ShuffleTransposes<Pack<double, 8>, double> {
 
 namespace detail {
 
-/// NEON's load_interleaved / store_interleaved, setr and halves: the
-/// portable forms through a lane buffer, which pay the store-forwarding
+/// NEON's load_interleaved / store_interleaved (full and partial), setr and
+/// halves: the portable forms through a lane buffer, which pay the store-forwarding
 /// stall the x86 packs avoid. vld2q/vld3q/vld4q, vcombine and vget_low/high
 /// would do them in register; they stay unwritten until they can be tested
 /// on an Arm target.
 template <typename P, typename T>
-struct BufferTransposes {
+struct BufferTransposes : LaneCopyPartials<P, T> {
     template <std::same_as<T>... L>
         requires(sizeof...(L) == P::width)
     [[nodiscard]] static MF_ALWAYS_INLINE P setr(L... x) noexcept {
@@ -711,6 +928,26 @@ struct BufferTransposes {
             for (int j = 0; j < P::width; ++j) p[j * N + k] = buf[j];
         }
     }
+    template <int N>
+    [[nodiscard]] static MF_ALWAYS_INLINE std::array<P, N> load_interleaved_n(
+        const T* p, int count) noexcept {
+        std::array<P, N> r;
+        T buf[P::width];
+        for (int k = 0; k < N; ++k) {
+            for (int j = 0; j < P::width; ++j) buf[j] = j < count ? p[j * N + k] : T(0);
+            r[k] = P::load(buf);
+        }
+        return r;
+    }
+    template <int N>
+    static MF_ALWAYS_INLINE void store_interleaved_n(const std::array<P, N>& v, T* p,
+                                                     int count) noexcept {
+        T buf[P::width];
+        for (int k = 0; k < N; ++k) {
+            v[k].store(buf);
+            for (int j = 0; j < count; ++j) p[j * N + k] = buf[j];
+        }
+    }
 };
 
 }  // namespace detail
@@ -733,6 +970,13 @@ struct Pack<float, 4> : detail::BufferTransposes<Pack<float, 4>, float> {
         float t[4];
         vst1q_f32(t, v);
         return t[i];
+    }
+    using Mask = uint32x4_t;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return vcltq_f32(a.v, b.v);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(vbslq_f32(m, x.v, y.v));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(vaddq_f32(a.v, b.v));
@@ -769,6 +1013,13 @@ struct Pack<double, 2> : detail::BufferTransposes<Pack<double, 2>, double> {
         double t[2];
         vst1q_f64(t, v);
         return t[i];
+    }
+    using Mask = uint64x2_t;
+    [[nodiscard]] friend MF_ALWAYS_INLINE Mask cmp_lt(Pack a, Pack b) noexcept {
+        return vcltq_f64(a.v, b.v);
+    }
+    [[nodiscard]] friend MF_ALWAYS_INLINE Pack select(Mask m, Pack x, Pack y) noexcept {
+        return Pack(vbslq_f64(m, x.v, y.v));
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator+(Pack a, Pack b) noexcept {
         return Pack(vaddq_f64(a.v, b.v));

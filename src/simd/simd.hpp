@@ -6,9 +6,10 @@
 //                so the FPAN networks instantiate over packs unchanged.
 //   backend.hpp  Backend enum, CPUID detection, MF_SIMD_BACKEND override,
 //                active_backend()/set_backend().
-//   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS) with
-//                explicit scalar tail loops.
-//   dispatch.hpp Runtime dispatch from the active backend to the kernels.
+//   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS); the
+//                elementwise ones end on one partial (masked) pack.
+//   dispatch.hpp Runtime dispatch from the active backend to the kernels,
+//                one element count per call.
 //
 // GEMM lives in one place, the packed engine of mf::blas (blas/engine/).
 

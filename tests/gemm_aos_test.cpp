@@ -1,13 +1,15 @@
 // AoS blas::gemm on the packed engine (DESIGN.md §11).
 //
-// blas::gemm over interleaved MultiFloat views zeroes C and runs the one
-// packed engine (engine::gemm_accumulate) through the AoS layout accessor.
+// blas::gemm over interleaved MultiFloat views runs the one packed engine
+// (engine::gemm_accumulate) through the AoS layout accessor in its
+// overwrite mode, where each work item starts its own C block from zero.
 // These tests pin its contract against check::reference_gemm, the scalar
 // reference that applies every update c = add(mul(a, b), c) in kk-ascending
 // order:
 //
 //   * bit-identical for every compiled backend x {1, 2, 4} workers x
-//     {OpenMP-automatic, std::thread pool};
+//     {OpenMP-automatic, std::thread pool}, both accumulating into a zero C
+//     and overwriting a NaN-filled one (C's prior contents are never read);
 //   * on square, skinny (k = 32, strided sub-block views as the blocked LU
 //     uses), fewer-rows-than-mc (forces the jr column split) and 1 x m /
 //     n x 1 edge shapes, for Float64x2/x3/x4 and Float32x2;
@@ -25,6 +27,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -73,6 +76,19 @@ void fill(std::mt19937_64& rng, std::vector<MultiFloat<T, N>>& v) {
     for (auto& x : v) x = check::gen<T, N>(rng, check::Category::ladder, cfg);
 }
 
+/// Quiet NaN in every limb of the block's view, padding untouched: an
+/// overwriting GEMM that read C would leave NaNs behind.
+template <typename V>
+void nan_fill(Block<V>& c) {
+    for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t j = 0; j < c.cols; ++j) {
+            for (auto& l : c.parent[c.offset + i * c.stride + j].limb) {
+                l = std::numeric_limits<typename V::value_type>::quiet_NaN();
+            }
+        }
+    }
+}
+
 struct Shape {
     const char* name;
     std::size_t n, k, m, pad;
@@ -90,7 +106,9 @@ constexpr Shape kShapes[] = {
 };
 
 /// Every backend x {1, 2, 4} workers x {automatic, pool} over every shape:
-/// the engine entry blas::gemm uses, and blas::gemm itself per backend.
+/// the engine entry blas::gemm uses, accumulating into a zero C and
+/// overwriting a NaN-filled one, and blas::gemm itself per backend, also
+/// over a NaN-filled C.
 template <typename T, int N>
 void expect_aos_gemm_matches_reference(std::uint64_t seed) {
     using V = MultiFloat<T, N>;
@@ -118,6 +136,7 @@ void expect_aos_gemm_matches_reference(std::uint64_t seed) {
             const std::string tag = simd::backend_name(bk);
             {
                 Block<V> c(s.n, s.m, s.pad);
+                nan_fill(c);
                 blas::gemm(a.cview(), b.cview(), c.view());
                 expect_same(c, tag + "/blas::gemm");
             }
@@ -126,12 +145,16 @@ void expect_aos_gemm_matches_reference(std::uint64_t seed) {
                     blas::GemmConfig cfg;
                     cfg.threads = mode;
                     cfg.max_threads = t;
-                    Block<V> c(s.n, s.m, s.pad);
-                    blas::engine::gemm_accumulate(blas::engine::access(a.cview()),
-                                                  blas::engine::access(b.cview()),
-                                                  blas::engine::access(c.view()), cfg);
-                    expect_same(c, tag + "/threads=" + std::to_string(t) +
-                                       (mode == ThreadMode::pool ? "/pool" : "/auto"));
+                    for (const bool zero_c : {false, true}) {
+                        Block<V> c(s.n, s.m, s.pad);
+                        if (zero_c) nan_fill(c);
+                        blas::engine::gemm_accumulate(
+                            blas::engine::access(a.cview()), blas::engine::access(b.cview()),
+                            blas::engine::access(c.view()), cfg, false, zero_c);
+                        expect_same(c, tag + "/threads=" + std::to_string(t) +
+                                           (mode == ThreadMode::pool ? "/pool" : "/auto") +
+                                           (zero_c ? "/zero_c" : ""));
+                    }
                 }
             }
         }
@@ -154,30 +177,43 @@ TEST(GemmPackedAos, BitIdenticalToScalarReferenceFloat32x2) {
     expect_aos_gemm_matches_reference<float, 2>(104);
 }
 
-// blas::gemm overwrites C (including with k = 0) and never writes outside
-// the C view's rows x cols, whatever the stride.
+// blas::gemm overwrites C (including with k = 0, which leaves zeros) and
+// never writes outside the C view's rows x cols, whatever the stride.
 TEST(GemmPackedAos, OverwritesOnlyTheCView) {
     using V = MultiFloat<double, 2>;
     const V marker(7.25);
     for (std::size_t k : {0u, 3u}) {
-        Block<V> a(6, k, 4), b(k, 5, 4), c(6, 5, 4);
-        std::mt19937_64 rng(5);
-        fill<double, 2>(rng, a.parent);
-        fill<double, 2>(rng, b.parent);
-        for (V& x : c.parent) x = marker;
-        Block<V> want(6, 5, 4);
-        for (V& x : want.parent) x = marker;
-        check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
-        blas::gemm(a.cview(), b.cview(), c.view());
-        for (std::size_t i = 0; i < c.parent.size(); ++i) {
-            EXPECT_TRUE(same_bits(c.parent[i], want.parent[i])) << "k=" << k << " @" << i;
+        for (const bool nan_view : {false, true}) {
+            Block<V> a(6, k, 4), b(k, 5, 4), c(6, 5, 4);
+            std::mt19937_64 rng(5);
+            fill<double, 2>(rng, a.parent);
+            fill<double, 2>(rng, b.parent);
+            for (V& x : c.parent) x = marker;
+            if (nan_view) nan_fill(c);
+            Block<V> want(6, 5, 4);
+            for (V& x : want.parent) x = marker;
+            check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+            blas::gemm(a.cview(), b.cview(), c.view());
+            for (std::size_t i = 0; i < c.parent.size(); ++i) {
+                EXPECT_TRUE(same_bits(c.parent[i], want.parent[i]))
+                    << "k=" << k << (nan_view ? " NaN-filled" : "") << " @" << i;
+            }
+            if (k == 0) {
+                for (std::size_t i = 0; i < c.rows; ++i) {
+                    for (std::size_t j = 0; j < c.cols; ++j) {
+                        for (double l : c.parent[c.offset + i * c.stride + j].limb) {
+                            EXPECT_EQ(std::bit_cast<std::uint64_t>(l), 0u);
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
 // A failed pack-scratch reservation (one allocation holding the B panel and
 // every worker slot's A block) degrades the AoS route to the unpacked path
-// bit-identically.
+// bit-identically; that path zeroes the NaN-filled C before accumulating.
 TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
     using V = MultiFloat<double, 2>;
     constexpr std::size_t n = 40, k = 32, m = 72;
@@ -197,6 +233,7 @@ TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
         return total;
     };
     Block<V> c(n, m, 3);
+    nan_fill(c);
     const std::uint64_t before = degraded();
     guard::inject::arm_alloc(0);
     ASSERT_NO_THROW(blas::gemm(a.cview(), b.cview(), c.view()));

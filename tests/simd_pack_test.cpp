@@ -8,9 +8,15 @@
 // with MF_SIMD_FORCE_SCALAR they all collapse to the portable fallback and
 // the same assertions must still hold. The interleaved (AoS record)
 // load/store of every width must match the primary template's loop, and so
-// must the lane primitives the complex kernels use: setr and halves.
+// must the lane primitives the complex kernels use: setr and halves. The
+// partial moves that end a kernel's sweep (load_n / store_n and the
+// interleaved _n forms) must match the same loops on their live lanes and
+// touch no memory past them, and cmp_lt / select must match the scalar
+// a < b ? x : y in every lane.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <array>
 #include <bit>
@@ -291,6 +297,135 @@ TYPED_TEST(PackTyped, InterleavedRoundTripMatchesPrimaryTemplate) {
         check_limbs(std::integral_constant<int, 2>{});
         check_limbs(std::integral_constant<int, 3>{});
         check_limbs(std::integral_constant<int, 4>{});
+    });
+}
+
+/// Partial moves at every width: load_n / store_n for count 0..W, and the
+/// record transposes load_interleaved_n / store_interleaved_n for N = 1..4
+/// and count 0..W-1. Live lanes must equal the primary template at W = 1 on
+/// each record, the other lanes must be +0, and a store must write exactly
+/// the live scalars, bit for bit, leaving the ones around them untouched.
+TYPED_TEST(PackTyped, PartialMovesMatchPrimaryTemplate) {
+    using T = TypeParam;
+    for_each_width<T>([](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        using P1 = Pack<T, 1>;
+        const T guard = std::numeric_limits<T>::quiet_NaN();
+        const auto vals = sample_values<T>(W + 2, 400 + W);
+        for (int count = 0; count <= W; ++count) {
+            const P p = P::load_n(vals.data() + 1, count);
+            for (int j = 0; j < W; ++j) {
+                ASSERT_EQ(bits(p[j]), j < count ? bits(vals[1 + j]) : bits(T(0)))
+                    << "load_n W=" << W << " count=" << count << " lane=" << j;
+            }
+            std::vector<T> out(W + 2, guard);
+            P::load(vals.data()).store_n(out.data() + 1, count);
+            for (int i = 0; i < W + 2; ++i) {
+                const bool live = i >= 1 && i <= count;
+                ASSERT_EQ(bits(out[i]), live ? bits(vals[i - 1]) : bits(guard))
+                    << "store_n W=" << W << " count=" << count << " at " << i;
+            }
+        }
+        const auto check_limbs = [&](auto n) {
+            constexpr int N = n();
+            const auto vals_n = sample_values<T>(W * N + 2, 500 + W * N);
+            const T* src = vals_n.data() + 1;
+            for (int count = 0; count < W; ++count) {
+                const std::array<P, N> packs = P::template load_interleaved_n<N>(src, count);
+                for (int j = 0; j < W; ++j) {
+                    for (int k = 0; k < N; ++k) {
+                        const T want = j < count
+                                           ? P1::template load_interleaved<N>(src + j * N)[k][0]
+                                           : T(0);
+                        ASSERT_EQ(bits(packs[k][j]), bits(want))
+                            << "W=" << W << " N=" << N << " count=" << count << " lane=" << j
+                            << " limb=" << k;
+                    }
+                }
+                const std::array<P, N> full = P::template load_interleaved<N>(src);
+                std::vector<T> out(W * N + 2 * W, guard);
+                P::template store_interleaved_n<N>(full, out.data() + W, count);
+                for (int i = 0; i < W * N + 2 * W; ++i) {
+                    const bool live = i >= W && i < W + count * N;
+                    ASSERT_EQ(bits(out[i]), live ? bits(src[i - W]) : bits(guard))
+                        << "W=" << W << " N=" << N << " count=" << count << " at " << i;
+                }
+            }
+        };
+        check_limbs(std::integral_constant<int, 1>{});
+        check_limbs(std::integral_constant<int, 2>{});
+        check_limbs(std::integral_constant<int, 3>{});
+        check_limbs(std::integral_constant<int, 4>{});
+    });
+}
+
+/// The partial moves touch nothing past their last live scalar: the records
+/// end exactly where a PROT_NONE page begins, so a read or write beyond them
+/// faults and kills the test. Every width, N = 1..4, count 0..W-1.
+TYPED_TEST(PackTyped, PartialMovesStopAtAGuardPage) {
+    using T = TypeParam;
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    void* mem = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    ASSERT_NE(mem, MAP_FAILED);
+    ASSERT_EQ(mprotect(static_cast<char*>(mem) + page, page, PROT_NONE), 0);
+    T* const end = reinterpret_cast<T*>(static_cast<char*>(mem) + page);
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        const auto vals = sample_values<T>(4 * W, 600 + W);
+        const auto check_limbs = [&](auto n) {
+            constexpr int N = n();
+            for (int count = 0; count < W; ++count) {
+                T* const p = end - count * N;
+                for (int i = 0; i < count * N; ++i) p[i] = vals[i];
+                const std::array<P, N> packs = P::template load_interleaved_n<N>(p, count);
+                for (int i = 0; i < count * N; ++i) p[i] = T(0);
+                P::template store_interleaved_n<N>(packs, p, count);
+                for (int i = 0; i < count * N; ++i) {
+                    ASSERT_EQ(bits(p[i]), bits(vals[i]))
+                        << "W=" << W << " N=" << N << " count=" << count;
+                }
+            }
+        };
+        check_limbs(std::integral_constant<int, 1>{});
+        check_limbs(std::integral_constant<int, 2>{});
+        check_limbs(std::integral_constant<int, 3>{});
+        check_limbs(std::integral_constant<int, 4>{});
+        for (int count = 0; count < W; ++count) {
+            const P v = P::load_n(end - count, count);
+            v.store_n(end - count, count);
+            for (int j = 0; j < count; ++j) ASSERT_EQ(bits(v[j]), bits(end[j - count]));
+        }
+    });
+    munmap(mem, 2 * page);
+}
+
+/// cmp_lt and select against the scalar a < b ? x : y in every lane, over
+/// specials: the compare is ordered (false when either side is NaN, -0 not
+/// below +0) and the select copies bits (NaN payloads, zero signs).
+TYPED_TEST(PackTyped, CompareSelectMatchesScalar) {
+    using T = TypeParam;
+    std::vector<T> vals = special_values<T>();
+    const auto more = sample_values<T>(32, 61);
+    vals.insert(vals.end(), more.begin(), more.end());
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        for (std::size_t i = 0; i + W <= vals.size(); ++i) {
+            for (std::size_t r = 0; r + W <= vals.size(); r += W) {
+                const P a = P::load(vals.data() + i);
+                const P b = P::load(vals.data() + r);
+                const P got = select(cmp_lt(a, b), -a, b);
+                for (int j = 0; j < W; ++j) {
+                    const T x = vals[i + j];
+                    const T y = vals[r + j];
+                    ASSERT_EQ(bits(got[j]), bits(x < y ? -x : y))
+                        << "W=" << W << " " << x << " < " << y;
+                }
+            }
+        }
     });
 }
 
