@@ -226,13 +226,13 @@ template <FloatingPoint T, int N>
     // For small x the direct formula cancels; switch to the sinh series via
     // sinh x = s where e = exp(x): s = (e - 1/e)/2.
     const auto e = exp(x);
-    return ldexp(sub(e, recip(e)), -1);
+    return detail::halve(sub(e, recip(e)));
 }
 
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> cosh(const MultiFloat<T, N>& x) {
     const auto e = exp(x);
-    return ldexp(add(e, recip(e)), -1);
+    return detail::halve(add(e, recip(e)));
 }
 
 /// pi at the working precision (Eq. 7): handy for user argument reduction.

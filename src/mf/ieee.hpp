@@ -34,16 +34,6 @@ template <FloatingPoint T>
     return !std::isfinite(scalar) || (scalar == T(0) && std::signbit(scalar));
 }
 
-template <FloatingPoint T, int N>
-[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> select(bool fixup, T scalar,
-                                                       const MultiFloat<T, N>& fast) noexcept {
-    MultiFloat<T, N> r;
-    // Per-limb conditional select; compilers emit cmov/blend, not branches.
-    r.limb[0] = fixup ? scalar : fast.limb[0];
-    for (int i = 1; i < N; ++i) r.limb[i] = fixup ? T(0) : fast.limb[i];
-    return r;
-}
-
 }  // namespace detail
 
 /// Addition with IEEE special-value semantics: NaN/Inf propagate as the base

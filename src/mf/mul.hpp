@@ -99,13 +99,28 @@ template <FloatingPoint T, int N>
     }
 }
 
-/// Exact multiplication by a power of two: applied limb-wise, never rounds.
+/// Multiplication by 2^e, applied limb-wise with one libm std::ldexp call
+/// per limb. Exact while every limb stays normal: a limb scaled into the
+/// subnormal range rounds, and a large e overflows to +-Inf.
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> ldexp(const MultiFloat<T, N>& x, int e) noexcept {
     MultiFloat<T, N> r;
     for (int i = 0; i < N; ++i) r.limb[i] = std::ldexp(x.limb[i], e);
     return r;
 }
+
+namespace detail {
+
+/// x/2, each limb times T(0.5): the same correctly rounded limbs as
+/// ldexp(x, -1) without a libm call, and exact unless a limb is subnormal.
+template <FloatingPoint T, int N>
+[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> halve(const MultiFloat<T, N>& x) noexcept {
+    MultiFloat<T, N> r;
+    for (int i = 0; i < N; ++i) r.limb[i] = x.limb[i] * T(0.5);
+    return r;
+}
+
+}  // namespace detail
 
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> operator*(const MultiFloat<T, N>& x,

@@ -99,6 +99,21 @@ struct MultiFloat {
     }
 };
 
+namespace detail {
+
+/// `scalar` embedded with a zero tail when `fixup` holds, else `fast`. A
+/// per-limb conditional select; compilers emit cmov/blend, not branches.
+template <FloatingPoint T, int N>
+[[nodiscard]] MF_ALWAYS_INLINE MultiFloat<T, N> select(bool fixup, T scalar,
+                                                       const MultiFloat<T, N>& fast) noexcept {
+    MultiFloat<T, N> r;
+    r.limb[0] = fixup ? scalar : fast.limb[0];
+    for (int i = 1; i < N; ++i) r.limb[i] = fixup ? T(0) : fast.limb[i];
+    return r;
+}
+
+}  // namespace detail
+
 /// Debug/test helper: does this expansion satisfy the strict nonoverlapping
 /// invariant |limb[i]| <= (1/2) ulp(limb[i-1])? (Branchy; not used by the
 /// arithmetic hot paths.)

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "support.hpp"
@@ -115,6 +116,88 @@ TYPED_TEST(DivSqrtTyped, RsqrtConsistentWithSqrtAndRecip) {
             BigFloat::from_int(1), BigFloat::sqrt(exact(a), N * p + 40), N * p + 20);
         MF_EXPECT_REL_BOUND(r, want, (newton_bound<N, p>));
     }
+}
+
+// The N = 2 algorithm before the progressive schedule, written out: two
+// full-width Newton steps from the one-limb seed, then the Karp-Markstein
+// correction. lu_solve's pivot reciprocals and back-substitution divisions
+// rest on these bits, so the shipped N = 2 path must reproduce them.
+template <typename T>
+MultiFloat<T, 2> recip_two_steps(const MultiFloat<T, 2>& a) {
+    const MultiFloat<T, 2> one(T(1));
+    MultiFloat<T, 2> r(T(1) / a.limb[0]);
+    for (int k = 0; k < 2; ++k) r = r + r * (one - a * r);
+    return r;
+}
+
+template <typename T>
+MultiFloat<T, 2> div_two_steps(const MultiFloat<T, 2>& b, const MultiFloat<T, 2>& a) {
+    const MultiFloat<T, 2> r = recip_two_steps(a);
+    MultiFloat<T, 2> q = b * r;
+    return q + r * (b - a * q);
+}
+
+template <typename T>
+MultiFloat<T, 2> rsqrt_two_steps(const MultiFloat<T, 2>& a) {
+    const MultiFloat<T, 2> one(T(1));
+    MultiFloat<T, 2> r(T(1) / std::sqrt(a.limb[0]));
+    for (int k = 0; k < 2; ++k) r = r + ldexp(r * (one - a * (r * r)), -1);
+    return r;
+}
+
+template <typename T>
+MultiFloat<T, 2> sqrt_two_steps(const MultiFloat<T, 2>& a) {
+    const MultiFloat<T, 2> r = rsqrt_two_steps(a);
+    const MultiFloat<T, 2> s = a * r;
+    return s + ldexp(r, -1) * (a - s * s);
+}
+
+template <typename T>
+bool same_bits(const MultiFloat<T, 2>& x, const MultiFloat<T, 2>& y) {
+    return std::memcmp(x.limb.data(), y.limb.data(), sizeof x.limb) == 0;
+}
+
+template <typename T>
+void expect_two_limb_bits_match_full_width() {
+    std::mt19937_64 rng(11 + std::numeric_limits<T>::digits);
+    int bad_recip = 0, bad_div = 0, bad_rsqrt = 0, bad_sqrt = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const MultiFloat<T, 2> b = adversarial<T, 2>(rng, -20, 20);
+        MultiFloat<T, 2> a = adversarial<T, 2>(rng, -20, 20);
+        if (a.is_zero()) a = MultiFloat<T, 2>(T(3));
+        const MultiFloat<T, 2> pos = abs(a);
+        bad_recip += !same_bits(recip(a), recip_two_steps(a));
+        bad_div += !same_bits(div(b, a), div_two_steps(b, a));
+        bad_rsqrt += !same_bits(rsqrt(pos), rsqrt_two_steps(pos));
+        bad_sqrt += !same_bits(mf::sqrt(pos), sqrt_two_steps(pos));
+    }
+    EXPECT_EQ(bad_recip, 0);
+    EXPECT_EQ(bad_div, 0);
+    EXPECT_EQ(bad_rsqrt, 0);
+    EXPECT_EQ(bad_sqrt, 0);
+}
+
+TEST(DivSqrtDirected, TwoLimbBitsMatchFullWidthSteps) {
+    expect_two_limb_bits_match_full_width<double>();
+    expect_two_limb_bits_match_full_width<float>();
+}
+
+// The raw kernel returns a signed zero for a zero radicand, with a zero
+// tail, without the strict-IEEE wrapper.
+template <int N>
+void expect_sqrt_of_signed_zero() {
+    for (const double z : {0.0, -0.0}) {
+        const MultiFloat<double, N> s = mf::sqrt(MultiFloat<double, N>(z));
+        EXPECT_EQ(s.limb[0], 0.0) << "N=" << N;
+        EXPECT_EQ(std::signbit(s.limb[0]), std::signbit(z)) << "N=" << N;
+        for (int i = 1; i < N; ++i) EXPECT_EQ(s.limb[i], 0.0) << "N=" << N << " limb " << i;
+    }
+}
+
+TEST(DivSqrtDirected, RawSqrtOfSignedZero) {
+    expect_sqrt_of_signed_zero<2>();
+    expect_sqrt_of_signed_zero<3>();
+    expect_sqrt_of_signed_zero<4>();
 }
 
 TEST(DivSqrtDirected, ExactCases) {
