@@ -1,7 +1,7 @@
 // Ablation: memory layout. The same branch-free networks run over
 // array-of-structs (AoS) vectors -- pack-vectorized through the in-register
 // record transposes of Pack::load_interleaved / store_interleaved
-// (simd::axpy_aos / dot_aos, the kernels under mf::blas) -- and over planar
+// (simd::axpy / dot on simd::Aos rows, the kernels under mf::blas) -- and over planar
 // structure-of-arrays (SoA) vectors, where packs load limb planes directly
 // (src/blas/planar.hpp -> mf::simd). Both sides run on the calling thread
 // and the active backend, so the SoA uplift isolates the layout cost: it is
@@ -50,12 +50,12 @@ bool run() {
     const MultiFloat<double, N> alpha(1.5);
 
     const double t_axpy_aos = bench::best_time(
-        [&] { simd::axpy_aos<double, N>(alpha, xa.data(), ya.data(), n); });
+        [&] { simd::axpy(alpha, simd::aos(xa.data()), simd::aos(ya.data()), n); });
     const double t_axpy_soa = bench::best_time([&] { planar::axpy(alpha, x, y); });
     volatile double sink = 0.0;
     const double t_dot_aos = bench::best_time([&] {
-        sink = sink + static_cast<double>(simd::dot_aos<double, N>(xa.data(), ya.data(), n)
-                                              .to_float());
+        sink = sink + static_cast<double>(
+                          simd::dot(simd::aos(xa.data()), simd::aos(ya.data()), n).to_float());
     });
     const double t_dot_soa = bench::best_time(
         [&] { sink = sink + static_cast<double>(planar::dot(x, y).to_float()); });

@@ -229,8 +229,8 @@ void run_blas_gemm(bench::JsonReport& out, std::size_t dim, std::size_t kdim,
 /// blas::iamax over 255 elements -- under MF_GUARD_POLICY warn and ignore,
 /// one record per call with ns_per_op = ns per call. Each record's
 /// ceiling_ns is the same work without the entry: the dispatched
-/// simd::axpy_aos / dot_aos / iamax_aos kernel on the same data, and for ger
-/// one width resolve plus bare kernels::axpy_aos rows, split by the same
+/// simd::axpy / dot / iamax kernel on the same AoS data, and for ger one
+/// width resolve plus bare kernels::axpy rows, split by the same
 /// engine::parallel_for fork decision (ger 255 x 31 is above
 /// engine::kCallForkMadds and forks). The gap is what the entry adds: the
 /// guard sentinel, the workers' FP-environment scopes and the view checks.
@@ -283,14 +283,16 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
             [&] {
                 blas::axpy(alpha, blas::view(std::as_const(x)), blas::view(y));
             },
-            per_call([&] { simd::axpy_aos<double, 2>(alpha, x.data(), y.data(), n); }));
+            per_call([&] { simd::axpy(alpha, simd::aos(x.data()), simd::aos(y.data()), n); }));
         entry(
             "dot", n, 0, double(n),
             [&] {
                 sink = blas::dot(blas::view(std::as_const(x)), blas::view(std::as_const(y)))
                            .limb[0];
             },
-            per_call([&] { sink = simd::dot_aos<double, 2>(x.data(), y.data(), n).limb[0]; }));
+            per_call([&] {
+                sink = simd::dot(simd::aos(x.data()), simd::aos(y.data()), n).limb[0];
+            }));
     }
     // The LU panel shapes of perfbench's lu_solve (n = 256, block 32): the
     // first column's 255-row ger of 31 columns, a late one of 7, both rows
@@ -319,8 +321,8 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
                 simd::with_active_width<double>([&](auto w) {
                     blas::engine::parallel_for(n, n * cols, [&](std::size_t lo, std::size_t hi) {
                         for (std::size_t i = lo; i < hi; ++i) {
-                            simd::kernels::axpy_aos<double, 2, w()>(mul(alpha, x[i]), y.data(),
-                                                                    a.data() + i * ld, cols);
+                            simd::kernels::axpy<w()>(mul(alpha, x[i]), simd::aos(y.data()),
+                                                     simd::aos(a.data() + i * ld), cols);
                         }
                     });
                 });
@@ -328,7 +330,7 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
     }
     entry(
         "iamax", n, 0, 0.0, [&] { isink = blas::iamax(blas::view(std::as_const(x))); },
-        per_call([&] { isink = simd::iamax_aos<double, 2>(x.data(), n); }));
+        per_call([&] { isink = simd::iamax(simd::aos(x.data()), n); }));
 }
 
 /// Cost of one engine fork/join: an empty parallel_blocks_slots region with

@@ -35,8 +35,8 @@ using namespace mf;
 // --- seed (pre-SIMD) planar loops, kept verbatim as the autovec baseline ---
 
 template <FloatingPoint T, int N>
-void autovec_fma_range(const MultiFloat<T, N>& alpha, const T* const* xp,
-                       T* const* yp, std::size_t i0, std::size_t i1) {
+void autovec_axpy(const MultiFloat<T, N>& alpha, const T* const* xp,
+                  T* const* yp, std::size_t i0, std::size_t i1) {
 #pragma GCC ivdep
     for (std::size_t i = i0; i < i1; ++i) {
         MultiFloat<T, N> x;
@@ -109,7 +109,7 @@ void autovec_gemm(const planar::Vector<T, N>& a, const planar::Vector<T, N>& b,
                 brow[p] = bp[p] + kk * m;
                 crow[p] = cp[p] + i * m;
             }
-            autovec_fma_range<T, N>(aik, brow, crow, 0, m);
+            autovec_axpy<T, N>(aik, brow, crow, 0, m);
         }
     }
 }
@@ -190,7 +190,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
     // AXPY
     {
         const double t = bench::median_time(
-            [&] { autovec_fma_range<T, N>(alpha, xp, yp, 0, n); });
+            [&] { autovec_axpy<T, N>(alpha, xp, yp, 0, n); });
         report(out, "axpy", type_name, N, "autovec", 0, t, double(n));
         for (simd::Backend b : available_backends()) {
             simd::set_backend(b);
@@ -199,7 +199,7 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             report(out, "axpy", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, double(n));
             const double ta = bench::median_time(
-                [&] { simd::axpy_aos<T, N>(alpha, xa.data(), ya.data(), n); });
+                [&] { simd::axpy(alpha, simd::aos(xa.data()), simd::aos(ya.data()), n); });
             report(out, "axpy_aos", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), ta, double(n));
         }
@@ -220,8 +220,9 @@ void run_type(bench::JsonReport& out, const char* type_name) {
             });
             report(out, "dot", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), tb, double(n));
-            const double ta = bench::median_time(
-                [&] { sink = add(sink, simd::dot_aos<T, N>(xa.data(), ya.data(), n)); });
+            const double ta = bench::median_time([&] {
+                sink = add(sink, simd::dot(simd::aos(xa.data()), simd::aos(ya.data()), n));
+            });
             report(out, "dot_aos", type_name, N, simd::backend_name(b),
                    simd::active_width<T>(), ta, double(n));
         }

@@ -6,7 +6,7 @@
 // both storage layouts, planar views through gemm_packed below (the only
 // planar GEMM entry) and interleaved MultiFloat views through blas::gemm
 // (kernels.hpp). It reads operands only through the layout
-// accessors of layout.hpp and never copies a whole matrix.
+// accessors of simd/layout.hpp and never copies a whole matrix.
 //
 // Loop structure (outside in), following the classical
 // Goto/BLIS decomposition:
@@ -107,46 +107,25 @@ template <std::floating_point T, int N>
 
 namespace detail {
 
-/// Sequential unpacked fallback over layout accessors: ikj order, one
-/// kk-ascending add(mul(a_ik, b_kj), c_ij) per element, W
-/// columns at a time through the accessors' pack loads plus a scalar tail,
-/// after zeroing C when `zero_c`. Bit-identical to the packed loop nest for
-/// every layout and pack width -- which is why gemm_accumulate may switch
-/// to this path when panel scratch cannot be allocated without changing a
-/// single result bit.
+/// Sequential unpacked fallback over layout accessors: after zeroing C when
+/// `zero_c`, row i of C takes one kernels::axpy per kk, c_i += a_ik b_k --
+/// the kk-ascending add(mul(a_ik, b_kj), c_ij) of every element, ending on
+/// one partial pack. Bit-identical to the packed loop nest for every layout
+/// and pack width -- which is why gemm_accumulate may switch to this path
+/// when panel scratch cannot be allocated without changing a single result
+/// bit.
 template <typename AAccess, typename BAccess, typename CAccess>
 void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c, bool zero_c) {
     using T = typename CAccess::value_type;
-    constexpr int N = CAccess::limbs;
     if (zero_c) {
         for (std::size_t i = 0; i < c.rows; ++i) {
-            for (std::size_t j = 0; j < c.cols; ++j) {
-                for (int p = 0; p < N; ++p) c.limb(p, i, j) = T(0);
-            }
+            for (std::size_t j = 0; j < c.cols; ++j) c.row(i).set(j, {});
         }
     }
     simd::with_active_width<T>([&](auto w) {
-        constexpr int W = w();
-        using P = simd::Pack<T, W>;
         for (std::size_t i = 0; i < c.rows; ++i) {
             for (std::size_t kk = 0; kk < a.cols; ++kk) {
-                MultiFloat<T, N> aik;
-                for (int p = 0; p < N; ++p) aik.limb[p] = a.limb(p, i, kk);
-                const MultiFloat<P, N> av = simd::kernels::broadcast<P, T, N>(aik);
-                std::size_t j = 0;
-                for (; j + W <= c.cols; j += W) {
-                    c.template store<P>(i, j, add(mul(av, b.template load<P>(kk, j)),
-                                                  c.template load<P>(i, j)));
-                }
-                for (; j < c.cols; ++j) {
-                    MultiFloat<T, N> bkj, cij;
-                    for (int p = 0; p < N; ++p) {
-                        bkj.limb[p] = b.limb(p, kk, j);
-                        cij.limb[p] = c.limb(p, i, j);
-                    }
-                    cij = add(mul(aik, bkj), cij);
-                    for (int p = 0; p < N; ++p) c.limb(p, i, j) = cij.limb[p];
-                }
+                simd::kernels::axpy<w()>(a.row(i).get(kk), b.row(kk), c.row(i), c.cols);
             }
         }
     });

@@ -4,11 +4,11 @@
 //
 // One invocation computes C[0:mr, 0:nr] += A(0:mr, 0:kc) * B(0:kc, 0:nr)
 // with the C micro-tile held in MultiFloat<Pack<T, W>, N> accumulators for
-// the whole kc sweep: C traffic drops from one load+store per kk (the
-// fma_range sweep's cost) to one load+store per kc, packed-B rows are loaded
-// once per kk and reused across all mr rows, and the mr x nrp independent
+// the whole kc sweep: C traffic drops from one load+store per kk (an axpy
+// sweep's cost) to one load+store per kc, packed-B rows are loaded once per
+// kk and reused across all mr rows, and the mr x nrp independent
 // accumulation chains give the out-of-order core far more exploitable ILP
-// than a single fma_range's one-chain-per-pack.
+// than a single axpy's one-chain-per-pack.
 //
 // The tile lives in registers only if the compiler scalarizes acc[MR][NRP],
 // so every fixed-trip loop of full() is unrolled. With a rolled r loop GCC
@@ -26,7 +26,7 @@
 // reference's (enforced by check::diff_gemm_packed /
 // tests/gemm_threads_test.cpp).
 //
-// C is reached only through a layout accessor (layout.hpp), so the same
+// C is reached only through a layout accessor (simd/layout.hpp), so the same
 // kernel serves planar and AoS matrices: a full tile loads and stores its
 // MR x NR block once per kc sweep, and never otherwise touches C. With
 // `fresh` set (the first kc block of an overwriting blas::gemm) the tile
@@ -34,7 +34,7 @@
 // read -- the same updates reference_gemm applies to its zero start.
 //
 // Edge tiles (rows < mr from the last row block, cols < nr from the last
-// column block) drop to a per-row fma_range sweep over the packed panels --
+// column block) drop to a per-row kernels::axpy sweep over the packed panels --
 // a different loop shape but, per element, the same kk-ascending updates, so
 // identity holds at the edges too.
 
@@ -42,6 +42,7 @@
 
 #include "../../mf/multifloat.hpp"
 #include "../../simd/kernels.hpp"
+#include "../../simd/layout.hpp"
 #include "../../simd/pack.hpp"
 #include "../../telemetry/events.hpp"
 
@@ -80,8 +81,8 @@ struct MicroKernel {
             for (int r = 0; r < MR; ++r) {
 #pragma GCC unroll 2
                 for (int q = 0; q < NRP; ++q) {
-                    acc[r][q] = c.template load<P>(i0 + static_cast<std::size_t>(r),
-                                                   j0 + static_cast<std::size_t>(q) * W);
+                    acc[r][q] = c.row(i0 + static_cast<std::size_t>(r))
+                                    .template load<P>(j0 + static_cast<std::size_t>(q) * W);
                 }
             }
         }
@@ -112,18 +113,19 @@ struct MicroKernel {
         for (int r = 0; r < MR; ++r) {
 #pragma GCC unroll 2
             for (int q = 0; q < NRP; ++q) {
-                c.template store<P>(i0 + static_cast<std::size_t>(r),
-                                    j0 + static_cast<std::size_t>(q) * W, acc[r][q]);
+                c.row(i0 + static_cast<std::size_t>(r))
+                    .store(j0 + static_cast<std::size_t>(q) * W, acc[r][q]);
             }
         }
     }
 
     /// Partial tile (rows <= MR, cols <= NR, at least one of them short):
     /// the C tile (zeros when `fresh`) is staged in a planar scratch tile,
-    /// swept row by row with kk-ascending fma_range over the packed panels,
-    /// and written back -- same per-element update sequence,
+    /// swept row by row with kk-ascending planar axpys over the packed
+    /// panels, and written back -- same per-element update sequence,
     /// memory-accumulated, any layout. The sweeps count their elements in
-    /// mf_simd_kernel_ops_total{kernel="fma_range"} once per tile.
+    /// the planar axpy's series, mf_simd_kernel_ops_total{kernel="fma_range"},
+    /// once per tile.
     template <typename CAccess>
     static void edge(const T* const (&ap)[N], std::size_t lda,
                      const T* const (&bp)[N], std::size_t ldb, const CAccess& c,
@@ -131,28 +133,24 @@ struct MicroKernel {
                      std::size_t rows, std::size_t cols, bool fresh) {
         MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"fma_range\"}", rows * kc * cols);
         T tile[N][MR * NR];
+        simd::Planar<T, N> stage;
+        for (int p = 0; p < N; ++p) stage.planes[p] = tile[p];
         for (std::size_t r = 0; r < rows; ++r) {
+            const auto crow = c.row(i0 + r) + j0;
             for (std::size_t j = 0; j < cols; ++j) {
-                for (int p = 0; p < N; ++p) {
-                    tile[p][r * NR + j] = fresh ? T(0) : c.limb(p, i0 + r, j0 + j);
-                }
+                stage.set(r * NR + j, fresh ? MultiFloat<T, N>{} : crow.get(j));
             }
         }
         for (std::size_t r = 0; r < rows; ++r) {
-            T* crow[N];
-            for (int p = 0; p < N; ++p) crow[p] = tile[p] + r * NR;
             for (std::size_t kk = 0; kk < kc; ++kk) {
                 MultiFloat<T, N> a_s;
                 for (int p = 0; p < N; ++p) a_s.limb[p] = ap[p][r * lda + kk];
-                const T* brow[N];
-                for (int p = 0; p < N; ++p) brow[p] = bp[p] + kk * ldb;
-                simd::kernels::fma_range<T, N, W>(a_s, brow, crow, 0, cols);
+                simd::kernels::axpy<W>(a_s, simd::planar(bp) + kk * ldb, stage + r * NR, cols);
             }
         }
         for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t j = 0; j < cols; ++j) {
-                for (int p = 0; p < N; ++p) c.limb(p, i0 + r, j0 + j) = tile[p][r * NR + j];
-            }
+            const auto crow = c.row(i0 + r) + j0;
+            for (std::size_t j = 0; j < cols; ++j) crow.set(j, stage.get(r * NR + j));
         }
     }
 };

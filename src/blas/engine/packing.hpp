@@ -18,9 +18,9 @@
 //
 // so the dispatched Pack<T, W> FPAN kernels run stride-1 loads over packed B
 // rows and packed C rows, and the per-(row, kk) A broadcast reads one scalar
-// per plane. The source is read through a layout accessor (layout.hpp): a
-// planar source gives contiguous row segments (memcpy-shaped loops), an AoS
-// source a stride-N gather per plane. Either way packing costs O(block),
+// per plane. The source is read through a layout accessor (layout.hpp),
+// one element at a time along each row, and written through a planar one:
+// packing is a row copy between layouts. It costs O(block),
 // amortized over O(block * panel) flops, and it is the only place the
 // engine reads A or B.
 
@@ -29,6 +29,7 @@
 #include <new>
 
 #include "../../guard/inject.hpp"
+#include "../../simd/layout.hpp"
 #include "../../telemetry/events.hpp"
 
 namespace mf::blas::engine {
@@ -95,6 +96,13 @@ AlignedBuffer<T>& thread_scratch() {
     return buf;
 }
 
+/// dst[j] = src[j] for j in [0, n): one row from a layout accessor into a
+/// planar panel row.
+template <typename Row, typename T, int N>
+void copy_row(const Row& src, const simd::Planar<T, N>& dst, std::size_t n) {
+    for (std::size_t j = 0; j < n; ++j) dst.set(j, src.get(j));
+}
+
 /// Pack the (mcb x kcb) block of A at (i0, k0) into `dst` (N * mcb * kcb
 /// limbs), plane-major. `a` is a layout accessor (layout.hpp). On return
 /// planes[p] points at packed plane p (row stride kcb).
@@ -102,14 +110,12 @@ template <typename Access, typename T = typename Access::value_type,
           int N = Access::limbs>
 void pack_a(const Access& a, std::size_t i0, std::size_t k0, std::size_t mcb,
             std::size_t kcb, T* dst, const T* (&planes)[N]) {
+    simd::Planar<T, N> panel;
     for (int p = 0; p < N; ++p) {
-        T* plane = dst + static_cast<std::size_t>(p) * mcb * kcb;
-        planes[p] = plane;
-        for (std::size_t r = 0; r < mcb; ++r) {
-            T* out = plane + r * kcb;
-            for (std::size_t kk = 0; kk < kcb; ++kk) out[kk] = a.limb(p, i0 + r, k0 + kk);
-        }
+        panel.planes[p] = dst + static_cast<std::size_t>(p) * mcb * kcb;
+        planes[p] = panel.planes[p];
     }
+    for (std::size_t r = 0; r < mcb; ++r) copy_row(a.row(i0 + r) + k0, panel + r * kcb, kcb);
     MF_TELEM_COUNT_N("mf_gemm_pack_bytes_total{panel=\"a\"}",
                      static_cast<std::size_t>(N) * mcb * kcb * sizeof(T));
 }
@@ -123,12 +129,10 @@ template <typename Access, typename T = typename Access::value_type,
           int N = Access::limbs>
 void pack_b(const Access& b, std::size_t k0, std::size_t j0, std::size_t kcb,
             std::size_t ncb, std::size_t r0, std::size_t r1, T* dst) {
-    for (int p = 0; p < N; ++p) {
-        T* plane = dst + static_cast<std::size_t>(p) * kcb * ncb;
-        for (std::size_t kk = r0; kk < r1; ++kk) {
-            T* out = plane + kk * ncb;
-            for (std::size_t j = 0; j < ncb; ++j) out[j] = b.limb(p, k0 + kk, j0 + j);
-        }
+    simd::Planar<T, N> panel;
+    for (int p = 0; p < N; ++p) panel.planes[p] = dst + static_cast<std::size_t>(p) * kcb * ncb;
+    for (std::size_t kk = r0; kk < r1; ++kk) {
+        copy_row(b.row(k0 + kk) + j0, panel + kk * ncb, ncb);
     }
     MF_TELEM_COUNT_N("mf_gemm_pack_bytes_total{panel=\"b\"}",
                      static_cast<std::size_t>(N) * (r1 - r0) * ncb * sizeof(T));

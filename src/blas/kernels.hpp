@@ -69,8 +69,7 @@ void axpy(const V& alpha, ConstVectorView<V> x, VectorView<V> y) {
         x.size, x.size,
         [&](std::size_t lo, std::size_t hi) {
             if constexpr (detail::is_multifloat_v<V>) {
-                simd::axpy_aos<typename V::value_type, V::num_limbs>(alpha, x.data + lo,
-                                                                     y.data + lo, hi - lo);
+                simd::axpy(alpha, simd::aos(x.data + lo), simd::aos(y.data + lo), hi - lo);
             } else {
                 for (std::size_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
             }
@@ -131,8 +130,7 @@ template <typename V>
     MF_BLAS_REQUIRE(x.size == y.size, "blas.dot", "x.size == y.size");
     const auto chunk_dot = [&](std::size_t lo, std::size_t hi) -> V {
         if constexpr (detail::is_multifloat_v<V>) {
-            return simd::dot_aos<typename V::value_type, V::num_limbs>(x.data + lo,
-                                                                      y.data + lo, hi - lo);
+            return simd::dot(simd::aos(x.data + lo), simd::aos(y.data + lo), hi - lo);
         } else {
             constexpr std::size_t K = 8;
             V part[K]{};
@@ -161,7 +159,7 @@ void gemv(ConstMatrixView<V> a, ConstVectorView<V> x, VectorView<V> y) {
     const std::size_t m = a.cols;
     const auto row_dot = [&](std::size_t i) -> V {
         if constexpr (detail::is_multifloat_v<V>) {
-            return simd::dot_aos<typename V::value_type, V::num_limbs>(a.row(i), x.data, m);
+            return simd::dot(simd::aos(a.row(i)), simd::aos(x.data), m);
         } else {
             constexpr std::size_t K = 4;
             const V* arow = a.row(i);
@@ -195,8 +193,7 @@ void scal(const V& alpha, VectorView<V> x) {
         x.size, x.size,
         [&](std::size_t lo, std::size_t hi) {
             if constexpr (detail::is_multifloat_v<V>) {
-                simd::scal_aos<typename V::value_type, V::num_limbs>(alpha, x.data + lo,
-                                                                     hi - lo);
+                simd::scal(alpha, simd::aos(x.data + lo), hi - lo);
             } else {
                 for (std::size_t i = lo; i < hi; ++i) x[i] *= alpha;
             }
@@ -225,14 +222,14 @@ template <typename V>
 /// first i with abs(x[best]) < abs(x[i]) false for every later element, so
 /// ties go to the lower index and a NaN never wins unless it is x[0].
 /// MultiFloat vectors of detail::kIamaxLaneMin elements or more run the lane
-/// kernel simd::kernels::iamax_aos, which returns this loop's index; shorter
+/// kernel simd::kernels::iamax, which returns this loop's index; shorter
 /// ones run the loop without a dispatch.
 template <typename V>
 [[nodiscard]] std::size_t iamax(ConstVectorView<V> x) {
     MF_GUARD_SENTINEL("blas.iamax");
     if constexpr (detail::is_multifloat_v<V>) {
         if (x.size >= detail::kIamaxLaneMin) {
-            return simd::iamax_aos<typename V::value_type, V::num_limbs>(x.data, x.size);
+            return simd::iamax(simd::aos(x.data), x.size);
         }
     }
     using std::abs;
@@ -256,16 +253,15 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     if constexpr (detail::is_multifloat_v<V>) {
         // One backend resolve and one element count for the whole update;
         // each row is then a bare width-templated axpy.
-        using T = typename V::value_type;
         MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"axpy_aos\"}", n * m);
-        simd::with_active_width<T>([&](auto w) {
+        simd::with_active_width<typename V::value_type>([&](auto w) {
             constexpr int W = decltype(w)::value;
             engine::parallel_for(
                 n, n * m,
                 [&](std::size_t lo, std::size_t hi) {
                     for (std::size_t i = lo; i < hi; ++i) {
-                        simd::kernels::axpy_aos<T, V::num_limbs, W>(alpha * x[i], y.data,
-                                                                    a.row(i), m);
+                        simd::kernels::axpy<W>(alpha * x[i], simd::aos(y.data),
+                                               simd::aos(a.row(i)), m);
                     }
                 },
                 sentinel.enforced());

@@ -156,16 +156,24 @@ template <FloatingPoint T, int N>
     return MatrixView<T, N>(v, rows, cols, stride);
 }
 
+/// The layout accessor (simd/layout.hpp) over a vector's planes.
+template <FloatingPoint T, int N>
+[[nodiscard]] simd::Planar<const T, N> access(const Vector<T, N>& v) noexcept {
+    simd::Planar<const T, N> r;
+    for (int k = 0; k < N; ++k) r.planes[k] = v.plane(k);
+    return r;
+}
+template <FloatingPoint T, int N>
+[[nodiscard]] simd::Planar<T, N> access(Vector<T, N>& v) noexcept {
+    simd::Planar<T, N> r;
+    for (int k = 0; k < N; ++k) r.planes[k] = v.plane(k);
+    return r;
+}
+
 /// y <- alpha * x + y.
 template <FloatingPoint T, int N>
 void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y) {
-    const T* xp[N];
-    T* yp[N];
-    for (int k = 0; k < N; ++k) {
-        xp[k] = x.plane(k);
-        yp[k] = y.plane(k);
-    }
-    simd::fma_range<T, N>(alpha, xp, yp, 0, x.size());
+    simd::axpy(alpha, access(x), access(y), x.size());
 }
 
 /// <x, y> with (at least) eight independent accumulators kept in pack lanes
@@ -174,13 +182,7 @@ void axpy(const MultiFloat<T, N>& alpha, const Vector<T, N>& x, Vector<T, N>& y)
 /// eight-accumulator loop exactly, so the result is backend-independent.
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> dot(const Vector<T, N>& x, const Vector<T, N>& y) {
-    const T* xp[N];
-    const T* yp[N];
-    for (int k = 0; k < N; ++k) {
-        xp[k] = x.plane(k);
-        yp[k] = y.plane(k);
-    }
-    return simd::dot<T, N>(xp, yp, x.size());
+    return simd::dot(access(x), access(y), x.size());
 }
 
 /// y <- A x (A row-major n x m, planar): each output element is a planar
@@ -188,19 +190,11 @@ template <FloatingPoint T, int N>
 template <FloatingPoint T, int N>
 void gemv(const Vector<T, N>& a, std::size_t n, std::size_t m,
           const Vector<T, N>& x, Vector<T, N>& y) {
-    const T* ap[N];
-    const T* xp[N];
-    for (int p = 0; p < N; ++p) {
-        ap[p] = a.plane(p);
-        xp[p] = x.plane(p);
-    }
     // One backend resolve and one element count for all n row reductions.
     MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot\"}", n * m);
     simd::with_active_width<T>([&](auto w) {
         for (std::size_t i = 0; i < n; ++i) {
-            const T* arow[N];
-            for (int p = 0; p < N; ++p) arow[p] = ap[p] + i * m;
-            y.set(i, simd::kernels::dot<T, N, w()>(arow, xp, m));
+            y.set(i, simd::kernels::dot<w()>(access(a) + i * m, access(x), m));
         }
     });
 }

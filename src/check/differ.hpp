@@ -6,10 +6,11 @@
 // the conformance runner fuzzes with).
 //
 // Three surfaces are diffed:
-//   * elementwise planar kernels (add_range / fma_range) dispatched per
-//     runtime backend vs. the width-1 scalar kernel;
-//   * the dot reduction, which additionally pins the historical
-//     eight-accumulator merge order for widths <= 8;
+//   * the elementwise kernels (add, and axpy on planar and on AoS operands:
+//     records add_range, fma_range, axpy_aos) dispatched per runtime backend
+//     vs. the width-1 planar kernel;
+//   * the dot reduction on both layouts (dot, dot_aos), which additionally
+//     pins the historical eight-accumulator merge order for widths <= 8;
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. the scalar
 //     check::reference_gemm across every available backend, worker count,
 //     and threading substrate (OpenMP and the std::thread pool), including
@@ -39,7 +40,8 @@ namespace mf::check {
 
 /// One diffed (kernel, backend/schedule) combination.
 struct DiffRecord {
-    std::string kernel;   ///< "add_range" | "fma_range" | "dot" | "gemm_packed"
+    std::string kernel;   ///< "add_range" | "fma_range" | "axpy_aos" | "dot" |
+                          ///< "dot_aos" | "gemm_packed"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
     std::string backend;  ///< backend name; gemm adds "/threads=K/auto|pool", or
@@ -83,30 +85,37 @@ void fill_vectors(std::mt19937_64& rng, std::size_t n, const GenConfig& cfg,
     }
 }
 
+/// Do a and b agree limb by limb (NaN-payload tolerant)?
+template <std::floating_point T, int N>
+[[nodiscard]] bool same_bits(const MultiFloat<T, N>& a, const MultiFloat<T, N>& b) noexcept {
+    for (int k = 0; k < N; ++k) {
+        if (!same_bits(a.limb[k], b.limb[k])) return false;
+    }
+    return true;
+}
+
+/// Elements of [0, n) on which two layout accessors differ.
+template <typename A, typename B>
+[[nodiscard]] std::uint64_t count_mismatches(const A& a, const B& b, std::size_t n) {
+    std::uint64_t bad = 0;
+    for (std::size_t i = 0; i < n; ++i) bad += same_bits(a.get(i), b.get(i)) ? 0 : 1;
+    return bad;
+}
+
 template <std::floating_point T, int N>
 [[nodiscard]] std::uint64_t count_mismatches(const planar::Vector<T, N>& a,
                                              const planar::Vector<T, N>& b,
                                              std::size_t n) {
-    std::uint64_t bad = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const MultiFloat<T, N> va = a.get(i);
-        const MultiFloat<T, N> vb = b.get(i);
-        for (int k = 0; k < N; ++k) {
-            if (!same_bits(va.limb[k], vb.limb[k])) {
-                ++bad;
-                break;
-            }
-        }
-    }
-    return bad;
+    return count_mismatches(planar::access(a), planar::access(b), n);
 }
 
 }  // namespace detail
 
-/// Diff every available backend's elementwise kernels and dot reduction
-/// against the scalar width-1 reference over `rounds` corpora of `n`
-/// elements each (sizes are perturbed per round to exercise tails).
-/// A non-empty `only` restricts the sweep to that one backend by name.
+/// Diff every available backend's elementwise kernels and dot reduction,
+/// on planar and on AoS operands, against the scalar width-1 planar
+/// reference over `rounds` corpora of `n` elements each (sizes are
+/// perturbed per round to exercise tails). A non-empty `only` restricts the
+/// sweep to that one backend by name.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_backends(std::uint64_t seed, std::size_t n,
                                                     int rounds, const GenConfig& cfg = {},
@@ -119,69 +128,77 @@ template <std::floating_point T, int N>
                             simd::Backend::neon}) {
         if (!simd::backend_available(b)) continue;
         if (!only.empty() && only != simd::backend_name(b)) continue;
-        DiffRecord add_rec{"add_range", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
-        DiffRecord fma_rec{"fma_range", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
-        DiffRecord dot_rec{"dot", type, N, simd::backend_name(b),
-                           simd::backend_width<T>(b), 0, 0};
+        const auto record = [&](const char* kernel) {
+            return DiffRecord{kernel, type, N, simd::backend_name(b),
+                              simd::backend_width<T>(b), 0, 0};
+        };
+        DiffRecord add_rec = record("add_range");
+        DiffRecord fma_rec = record("fma_range");
+        DiffRecord axpy_aos_rec = record("axpy_aos");
+        DiffRecord dot_rec = record("dot");
+        DiffRecord dot_aos_rec = record("dot_aos");
+        // The eight-accumulator merge order is pinned for widths <= 8;
+        // wider backends legitimately reassociate the reduction.
+        const bool pinned_dot = simd::backend_width<T>(b) <= 8;
         std::mt19937_64 rng(seed);  // same corpus for every backend
         for (int r = 0; r < rounds; ++r) {
             const std::size_t len = n + static_cast<std::size_t>(rng() % 17);
-            planar::Vector<T, N> x, y, y2, z_ref, z_got;
+            planar::Vector<T, N> x, y, z_ref, z_got;
             detail::fill_vectors(rng, len, cfg, x);
             detail::fill_vectors(rng, len, cfg, y);
             const MultiFloat<T, N> alpha =
                 gen<T, N>(rng, Category::ladder, cfg);
             z_ref.resize(len);
             z_got.resize(len);
-            const T* xp[N];
-            const T* yp[N];
-            T* rp[N];
-            T* gp[N];
-            for (int k = 0; k < N; ++k) {
-                xp[k] = x.plane(k);
-                yp[k] = y.plane(k);
-                rp[k] = z_ref.plane(k);
-                gp[k] = z_got.plane(k);
+            const auto xp = planar::access(x);
+            const auto yp = planar::access(y);
+            // The same operands in the mf::blas layout.
+            std::vector<MultiFloat<T, N>> xa(len), ya(len);
+            for (std::size_t i = 0; i < len; ++i) {
+                xa[i] = x.get(i);
+                ya[i] = y.get(i);
             }
+
             // Reference: explicit width-1 scalar kernels.
-            simd::kernels::add_range<T, N, 1>(xp, yp, rp, 0, len);
-            const MultiFloat<T, N> dot_ref = simd::kernels::dot<T, N, 1>(xp, yp, len);
+            simd::kernels::add<1>(xp, yp, planar::access(z_ref), len);
+            const MultiFloat<T, N> dot_ref = simd::kernels::dot<1>(xp, yp, len);
             planar::Vector<T, N> fma_ref = y;
-            T* frp[N];
-            for (int k = 0; k < N; ++k) frp[k] = fma_ref.plane(k);
-            simd::kernels::fma_range<T, N, 1>(alpha, xp, frp, 0, len);
+            simd::kernels::axpy<1>(alpha, xp, planar::access(fma_ref), len);
 
             // Under test: the dispatched path on backend b.
             simd::set_backend(b);
-            simd::add_range<T, N>(xp, yp, gp, 0, len);
+            simd::add(xp, yp, planar::access(z_got), len);
             add_rec.elements += len;
             add_rec.mismatches += detail::count_mismatches(z_ref, z_got, len);
 
-            y2 = y;
-            T* y2p[N];
-            for (int k = 0; k < N; ++k) y2p[k] = y2.plane(k);
-            simd::fma_range<T, N>(alpha, xp, y2p, 0, len);
+            planar::Vector<T, N> y2 = y;
+            simd::axpy(alpha, xp, planar::access(y2), len);
             fma_rec.elements += len;
             fma_rec.mismatches += detail::count_mismatches(fma_ref, y2, len);
 
-            const MultiFloat<T, N> dot_got = simd::dot<T, N>(xp, yp, len);
+            const MultiFloat<T, N> dot_got = simd::dot(xp, yp, len);
             ++dot_rec.elements;
-            // The eight-accumulator merge order is pinned for widths <= 8;
-            // wider backends legitimately reassociate the reduction.
-            if (simd::backend_width<T>(b) <= 8) {
-                for (int k = 0; k < N; ++k) {
-                    if (!detail::same_bits(dot_got.limb[k], dot_ref.limb[k])) {
-                        ++dot_rec.mismatches;
-                        break;
-                    }
-                }
+            if (pinned_dot && !detail::same_bits(dot_got, dot_ref)) ++dot_rec.mismatches;
+
+            // The AoS dot runs the same width and order as the planar one,
+            // so it matches it (and the reference where that is pinned).
+            const MultiFloat<T, N> dot_aos_got =
+                simd::dot(simd::aos(xa.data()), simd::aos(ya.data()), len);
+            ++dot_aos_rec.elements;
+            if (!detail::same_bits(dot_aos_got, pinned_dot ? dot_ref : dot_got)) {
+                ++dot_aos_rec.mismatches;
             }
+
+            simd::axpy(alpha, simd::aos(xa.data()), simd::aos(ya.data()), len);
+            axpy_aos_rec.elements += len;
+            axpy_aos_rec.mismatches += detail::count_mismatches(
+                planar::access(fma_ref), simd::aos(ya.data()), len);
         }
         out.push_back(std::move(add_rec));
         out.push_back(std::move(fma_rec));
+        out.push_back(std::move(axpy_aos_rec));
         out.push_back(std::move(dot_rec));
+        out.push_back(std::move(dot_aos_rec));
     }
     return out;
 }

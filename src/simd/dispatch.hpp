@@ -8,9 +8,12 @@
 // also counts its elements once in mf_simd_kernel_ops_total{kernel=...};
 // a caller issuing many short calls resolves the width once with
 // with_active_width, calls the kernels:: templates directly, and counts its
-// own total (blas::ger, planar::gemv).
+// own total (blas::ger, planar::gemv). There is one entry per operation;
+// its operands are layout accessors (layout.hpp), and the series it counts
+// in keeps the name the operation's planar or AoS kernel had.
 
 #include <cstddef>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -40,6 +43,14 @@ inline void note_dispatch(Backend b) {
     telemetry::Registry::instance().add(ids[static_cast<std::size_t>(b)]);
 }
 #endif
+
+/// mf_simd_kernel_ops_total{kernel=...}: an operation's planar or AoS series
+/// name, by the layout of its first operand.
+template <typename X>
+[[nodiscard]] std::string ops_series(const char* planar, const char* aos) {
+    return std::string("mf_simd_kernel_ops_total{kernel=\"") +
+           (X::interleaved ? aos : planar) + "\"}";
+}
 
 /// Invoke f(integral_constant<int, W>) with the active backend's pack width
 /// for base type T. Only widths whose intrinsic specializations are compiled
@@ -90,72 +101,44 @@ MF_ALWAYS_INLINE decltype(auto) with_active_width(F&& f) {
     return detail::with_pack_width<T>(std::forward<F>(f));
 }
 
-/// Planar z = x + y elementwise on the active backend.
-template <std::floating_point T, int N>
-void add_range(const T* const* xp, const T* const* yp, T* const* zp,
-               std::size_t i0, std::size_t i1) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"add_range\"}", i1 - i0);
-    detail::with_pack_width<T>([&](auto w) {
-        kernels::add_range<T, N, w()>(xp, yp, zp, i0, i1);
-    });
+/// z = x + y elementwise on the active backend.
+template <typename X, typename Y, typename Z>
+void add(const X& x, const Y& y, const Z& z, std::size_t n) {
+    MF_TELEM_COUNT_N(detail::ops_series<X>("add_range", "add_aos"), n);
+    detail::with_pack_width<typename X::value_type>(
+        [&](auto w) { kernels::add<w()>(x, y, z, n); });
 }
 
-/// Planar y = alpha * x + y elementwise on the active backend.
-template <std::floating_point T, int N>
-void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
-               std::size_t i0, std::size_t i1) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"fma_range\"}", i1 - i0);
-    detail::with_pack_width<T>([&](auto w) {
-        kernels::fma_range<T, N, w()>(alpha, xp, yp, i0, i1);
-    });
+/// y = alpha * x + y elementwise on the active backend.
+template <typename X, typename Y>
+void axpy(const kernels::Element<X>& alpha, const X& x, const Y& y, std::size_t n) {
+    MF_TELEM_COUNT_N(detail::ops_series<X>("fma_range", "axpy_aos"), n);
+    detail::with_pack_width<typename X::value_type>(
+        [&](auto w) { kernels::axpy<w()>(alpha, x, y, n); });
 }
 
-/// Planar <x, y> on the active backend.
-template <std::floating_point T, int N>
-[[nodiscard]] MultiFloat<T, N> dot(const T* const* xp, const T* const* yp,
-                                   std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot\"}", n);
-    return detail::with_pack_width<T>([&](auto w) {
-        return kernels::dot<T, N, w()>(xp, yp, n);
-    });
+/// x = x * alpha elementwise on the active backend.
+template <typename X>
+void scal(const kernels::Element<X>& alpha, const X& x, std::size_t n) {
+    MF_TELEM_COUNT_N(detail::ops_series<X>("scal", "scal_aos"), n);
+    detail::with_pack_width<typename X::value_type>(
+        [&](auto w) { kernels::scal<w()>(alpha, x, n); });
 }
 
-/// AoS y = alpha * x + y on the active backend.
-template <std::floating_point T, int N>
-void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
-              MultiFloat<T, N>* y, std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"axpy_aos\"}", n);
-    detail::with_pack_width<T>([&](auto w) {
-        kernels::axpy_aos<T, N, w()>(alpha, x, y, n);
-    });
+/// <x, y> on the active backend.
+template <typename X, typename Y>
+[[nodiscard]] kernels::Element<X> dot(const X& x, const Y& y, std::size_t n) {
+    MF_TELEM_COUNT_N(detail::ops_series<X>("dot", "dot_aos"), n);
+    return detail::with_pack_width<typename X::value_type>(
+        [&](auto w) { return kernels::dot<w()>(x, y, n); });
 }
 
-/// AoS x = x * alpha on the active backend.
-template <std::floating_point T, int N>
-void scal_aos(const MultiFloat<T, N>& alpha, MultiFloat<T, N>* x, std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"scal_aos\"}", n);
-    detail::with_pack_width<T>([&](auto w) {
-        kernels::scal_aos<T, N, w()>(alpha, x, n);
-    });
-}
-
-/// AoS <x, y> on the active backend.
-template <std::floating_point T, int N>
-[[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
-                                       const MultiFloat<T, N>* y, std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"dot_aos\"}", n);
-    return detail::with_pack_width<T>([&](auto w) {
-        return kernels::dot_aos<T, N, w()>(x, y, n);
-    });
-}
-
-/// AoS index of the largest magnitude on the active backend.
-template <std::floating_point T, int N>
-[[nodiscard]] std::size_t iamax_aos(const MultiFloat<T, N>* x, std::size_t n) {
-    MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"iamax_aos\"}", n);
-    return detail::with_pack_width<T>([&](auto w) {
-        return kernels::iamax_aos<T, N, w()>(x, n);
-    });
+/// Index of the largest magnitude on the active backend.
+template <typename X>
+[[nodiscard]] std::size_t iamax(const X& x, std::size_t n) {
+    MF_TELEM_COUNT_N(detail::ops_series<X>("iamax", "iamax_aos"), n);
+    return detail::with_pack_width<typename X::value_type>(
+        [&](auto w) { return kernels::iamax<w()>(x, n); });
 }
 
 }  // namespace mf::simd

@@ -3,67 +3,40 @@
 // and mf/mul.hpp instantiated over MultiFloat<Pack<T, W>, N> -- W elements
 // march through the SAME gate sequence in lock-step, one lane each. The
 // elementwise kernels process the bulk in W-wide steps and finish with one
-// partial pack (Pack::load_n / load_interleaved_n and their stores), which
-// reads and writes only the remaining elements: every element, the last
-// ones included, runs the identical network, so the result is bit-identical
-// to the scalar kernel (tests/simd_kernel_test.cpp). The reductions keep an
-// explicit scalar tail, because their bits depend on the order in which the
-// last elements join the accumulator.
+// partial pack (the accessors' load_n / store_n), which reads and writes
+// only the remaining elements: every element, the last ones included, runs
+// the identical network, so the result is bit-identical to the scalar
+// kernel (tests/simd_kernel_test.cpp). The dot reduction keeps an explicit
+// scalar tail, because its bits depend on the order in which the last
+// elements join the accumulator.
 //
-// Two memory layouts are served:
-//  * planar (SoA) raw plane pointers, as used by mf::planar::Vector -- packs
-//    load W consecutive elements of one limb with a single unaligned load;
-//  * AoS spans of MultiFloat<T, N>, as used by mf::blas -- limbs are
-//    interleaved, so W elements are N*W consecutive scalars, and
-//    Pack::load_interleaved / store_interleaved transpose them in registers
-//    (pack.hpp says why not through a lane buffer). At N = 2 the AoS kernels
-//    run within about 1.2x of planar.
+// Operands load into named locals, x before y. Loaded inside the call that
+// consumes them, in GCC's argument order, the N = 3 and 4 AoS axpy ran 3-6%
+// slower on AVX-512.
+//
+// Each kernel is written once over layout accessors (layout.hpp): planar
+// rows as mf::planar::Vector stores them, interleaved MultiFloat rows as
+// mf::blas views them, or one of each. The accessor decides how W elements
+// reach a pack; the network and its order are the same for both, so a
+// kernel returns the same bits on either layout.
 //
 // The kernels count nothing: the dispatched entries of dispatch.hpp bump
 // mf_simd_kernel_ops_total once per call, and a caller that hoists the
-// dispatch out of its loop (blas::ger, planar::gemv) counts its own total.
+// dispatch out of its loop (blas::ger, planar::gemv, the GEMM engine)
+// counts its own total.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <type_traits>
 #include <utility>
 
 #include "../mf/add.hpp"
 #include "../mf/math.hpp"
 #include "../mf/mul.hpp"
+#include "layout.hpp"
 #include "pack.hpp"
 
 namespace mf::simd::kernels {
-
-/// Load lanes [i, i+W) of an N-limb planar range into a pack MultiFloat.
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE MultiFloat<P, N> load_planar(const T* const* planes, std::size_t i) noexcept {
-    MultiFloat<P, N> r;
-    for (int k = 0; k < N; ++k) r.limb[k] = P::load(planes[k] + i);
-    return r;
-}
-
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE void store_planar(const MultiFloat<P, N>& v, T* const* planes,
-                                   std::size_t i) noexcept {
-    for (int k = 0; k < N; ++k) v.limb[k].store(planes[k] + i);
-}
-
-/// Lanes [i, i+count) of a planar range, count < W; the other lanes are zero.
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE MultiFloat<P, N> load_planar_n(const T* const* planes, std::size_t i,
-                                                int count) noexcept {
-    MultiFloat<P, N> r;
-    for (int k = 0; k < N; ++k) r.limb[k] = P::load_n(planes[k] + i, count);
-    return r;
-}
-
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE void store_planar_n(const MultiFloat<P, N>& v, T* const* planes,
-                                     std::size_t i, int count) noexcept {
-    for (int k = 0; k < N; ++k) v.limb[k].store_n(planes[k] + i, count);
-}
 
 /// Broadcast one scalar expansion across all W lanes.
 template <typename P, std::floating_point T, int N>
@@ -71,42 +44,6 @@ MF_ALWAYS_INLINE MultiFloat<P, N> broadcast(const MultiFloat<T, N>& x) noexcept 
     MultiFloat<P, N> r;
     for (int k = 0; k < N; ++k) r.limb[k] = P::broadcast(x.limb[k]);
     return r;
-}
-
-/// The scalars of n consecutive AoS elements, in memory order: limb k of
-/// element j is at [j * N + k], the record layout of P::load_interleaved.
-template <std::floating_point T, int N>
-MF_ALWAYS_INLINE const T* limbs_of(const MultiFloat<T, N>* p) noexcept {
-    static_assert(sizeof(MultiFloat<T, N>) == N * sizeof(T) &&
-                  std::is_standard_layout_v<MultiFloat<T, N>>);
-    return reinterpret_cast<const T*>(p);
-}
-template <std::floating_point T, int N>
-MF_ALWAYS_INLINE T* limbs_of(MultiFloat<T, N>* p) noexcept {
-    return const_cast<T*>(limbs_of(static_cast<const MultiFloat<T, N>*>(p)));
-}
-
-/// Transpose W consecutive AoS elements into a pack MultiFloat.
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE MultiFloat<P, N> load_aos(const MultiFloat<T, N>* p) noexcept {
-    return MultiFloat<P, N>(P::template load_interleaved<N>(limbs_of(p)));
-}
-
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE void store_aos(const MultiFloat<P, N>& v, MultiFloat<T, N>* p) noexcept {
-    P::template store_interleaved<N>(v.limb, limbs_of(p));
-}
-
-/// The first `count` < W AoS elements; the other lanes are zero.
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE MultiFloat<P, N> load_aos_n(const MultiFloat<T, N>* p, int count) noexcept {
-    return MultiFloat<P, N>(P::template load_interleaved_n<N>(limbs_of(p), count));
-}
-
-template <typename P, std::floating_point T, int N>
-MF_ALWAYS_INLINE void store_aos_n(const MultiFloat<P, N>& v, MultiFloat<T, N>* p,
-                                  int count) noexcept {
-    P::template store_interleaved_n<N>(v.limb, limbs_of(p), count);
 }
 
 /// Extract lane j of a pack expansion as a scalar expansion.
@@ -117,144 +54,91 @@ MF_ALWAYS_INLINE MultiFloat<T, N> lane(const MultiFloat<P, N>& v, int j) noexcep
     return r;
 }
 
-// ---------------------------------------------------------------------------
-// Planar (SoA) kernels
-// ---------------------------------------------------------------------------
+/// The scalar expansion type of accessor X's elements.
+template <typename X>
+using Element = MultiFloat<typename X::value_type, X::limbs>;
 
-/// z[i] = x[i] + y[i] over planes, for i in [i0, i1).
-template <std::floating_point T, int N, int W>
-void add_range(const T* const* xp, const T* const* yp, T* const* zp,
-               std::size_t i0, std::size_t i1) {
-    using P = Pack<T, W>;
-    std::size_t i = i0;
-    for (; i + W <= i1; i += W) {
-        const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-        const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
-        store_planar<P, T, N>(add(x, y), zp, i);
+/// The pack expansion type of accessor X's elements at width W.
+template <typename X, int W>
+using Lanes = MultiFloat<Pack<typename X::value_type, W>, X::limbs>;
+
+/// z[i] = x[i] + y[i] for i in [0, n).
+template <int W, typename X, typename Y, typename Z>
+void add(const X& x, const Y& y, const Z& z, std::size_t n) {
+    using P = Pack<typename X::value_type, W>;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+        const Lanes<X, W> xv = x.template load<P>(i);
+        const Lanes<X, W> yv = y.template load<P>(i);
+        z.store(i, add(xv, yv));
     }
-    if (i < i1) {  // one partial pack: same network, the live lanes only
-        const int c = static_cast<int>(i1 - i);
-        const MultiFloat<P, N> x = load_planar_n<P, T, N>(xp, i, c);
-        const MultiFloat<P, N> y = load_planar_n<P, T, N>(yp, i, c);
-        store_planar_n<P, T, N>(add(x, y), zp, i, c);
+    if (i < n) {  // one partial pack: same network, the live lanes only
+        const int c = static_cast<int>(n - i);
+        const Lanes<X, W> xv = x.template load_n<P>(i, c);
+        const Lanes<X, W> yv = y.template load_n<P>(i, c);
+        z.store_n(i, add(xv, yv), c);
     }
 }
 
-/// y[i] = alpha * x[i] + y[i] over planes, for i in [i0, i1).
-template <std::floating_point T, int N, int W>
-void fma_range(const MultiFloat<T, N>& alpha, const T* const* xp, T* const* yp,
-               std::size_t i0, std::size_t i1) {
-    using P = Pack<T, W>;
-    const MultiFloat<P, N> av = broadcast<P, T, N>(alpha);
-    std::size_t i = i0;
-    for (; i + W <= i1; i += W) {
-        const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-        const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
-        store_planar<P, T, N>(add(mul(av, x), y), yp, i);
+/// y[i] = alpha * x[i] + y[i] for i in [0, n).
+template <int W, typename X, typename Y>
+void axpy(const Element<X>& alpha, const X& x, const Y& y, std::size_t n) {
+    using P = Pack<typename X::value_type, W>;
+    const Lanes<X, W> av = broadcast<P>(alpha);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+        const Lanes<X, W> xv = x.template load<P>(i);
+        const Lanes<X, W> yv = y.template load<P>(i);
+        y.store(i, add(mul(av, xv), yv));
     }
-    if (i < i1) {
-        const int c = static_cast<int>(i1 - i);
-        const MultiFloat<P, N> x = load_planar_n<P, T, N>(xp, i, c);
-        const MultiFloat<P, N> y = load_planar_n<P, T, N>(yp, i, c);
-        store_planar_n<P, T, N>(add(mul(av, x), y), yp, i, c);
+    if (i < n) {
+        const int c = static_cast<int>(n - i);
+        const Lanes<X, W> xv = x.template load_n<P>(i, c);
+        const Lanes<X, W> yv = y.template load_n<P>(i, c);
+        y.store_n(i, add(mul(av, xv), yv), c);
     }
 }
 
-/// <x, y> over planes. Accumulator layout: BLK = max(8, W) independent
+/// x[i] = x[i] * alpha for i in [0, n) (the operand order of blas::scal's
+/// `x[i] *= alpha`).
+template <int W, typename X>
+void scal(const Element<X>& alpha, const X& x, std::size_t n) {
+    using P = Pack<typename X::value_type, W>;
+    const Lanes<X, W> av = broadcast<P>(alpha);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) x.store(i, mul(x.template load<P>(i), av));
+    if (i < n) {
+        const int c = static_cast<int>(n - i);
+        x.store_n(i, mul(x.template load_n<P>(i, c), av), c);
+    }
+}
+
+/// <x, y> over [0, n). Accumulator layout: BLK = max(8, W) independent
 /// accumulator lanes held in BLK/W packs. For W <= 8 this reproduces the
 /// seed planar::dot exactly -- eight accumulators, lane j of each 8-block
 /// feeding accumulator j, final merge in lane order then a scalar tail --
 /// so the result is bit-identical to the pre-SIMD path.
-template <std::floating_point T, int N, int W>
-[[nodiscard]] MultiFloat<T, N> dot(const T* const* xp, const T* const* yp, std::size_t n) {
+template <int W, typename X, typename Y>
+[[nodiscard]] Element<X> dot(const X& x, const Y& y, std::size_t n) {
+    using T = typename X::value_type;
     using P = Pack<T, W>;
     constexpr std::size_t BLK = W > 8 ? W : 8;
     constexpr std::size_t A = BLK / W;
-    MultiFloat<P, N> part[A];
+    Lanes<X, W> part[A];
     for (std::size_t blk = 0; blk + BLK <= n; blk += BLK) {
         for (std::size_t a = 0; a < A; ++a) {
             const std::size_t i = blk + a * W;
-            const MultiFloat<P, N> x = load_planar<P, T, N>(xp, i);
-            const MultiFloat<P, N> y = load_planar<P, T, N>(yp, i);
-            part[a] = add(part[a], mul(x, y));
+            const Lanes<X, W> xv = x.template load<P>(i);
+            const Lanes<X, W> yv = y.template load<P>(i);
+            part[a] = add(part[a], mul(xv, yv));
         }
     }
-    MultiFloat<T, N> acc{};
+    Element<X> acc{};
     for (std::size_t j = 0; j < BLK; ++j) {
-        acc = add(acc, lane<T, N>(part[j / W], static_cast<int>(j % W)));
+        acc = add(acc, lane<T, X::limbs>(part[j / W], static_cast<int>(j % W)));
     }
     for (std::size_t i = n - n % BLK; i < n; ++i) {
-        MultiFloat<T, N> x;
-        MultiFloat<T, N> y;
-        for (int k = 0; k < N; ++k) {
-            x.limb[k] = xp[k][i];
-            y.limb[k] = yp[k][i];
-        }
-        acc = add(acc, mul(x, y));
-    }
-    return acc;
-}
-
-// ---------------------------------------------------------------------------
-// AoS (interleaved MultiFloat span) kernels for mf::blas
-// ---------------------------------------------------------------------------
-
-/// y[i] = alpha * x[i] + y[i] over AoS arrays of n elements.
-template <std::floating_point T, int N, int W>
-void axpy_aos(const MultiFloat<T, N>& alpha, const MultiFloat<T, N>* x,
-              MultiFloat<T, N>* y, std::size_t n) {
-    using P = Pack<T, W>;
-    const MultiFloat<P, N> av = broadcast<P, T, N>(alpha);
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-        const MultiFloat<P, N> xv = load_aos<P, T, N>(x + i);
-        const MultiFloat<P, N> yv = load_aos<P, T, N>(y + i);
-        store_aos<P, T, N>(add(mul(av, xv), yv), y + i);
-    }
-    if (i < n) {
-        const int c = static_cast<int>(n - i);
-        const MultiFloat<P, N> xv = load_aos_n<P, T, N>(x + i, c);
-        const MultiFloat<P, N> yv = load_aos_n<P, T, N>(y + i, c);
-        store_aos_n<P, T, N>(add(mul(av, xv), yv), y + i, c);
-    }
-}
-
-/// x[i] = x[i] * alpha over an AoS array of n elements (the operand order of
-/// blas::scal's `x[i] *= alpha`).
-template <std::floating_point T, int N, int W>
-void scal_aos(const MultiFloat<T, N>& alpha, MultiFloat<T, N>* x, std::size_t n) {
-    using P = Pack<T, W>;
-    const MultiFloat<P, N> av = broadcast<P, T, N>(alpha);
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-        store_aos<P, T, N>(mul(load_aos<P, T, N>(x + i), av), x + i);
-    }
-    if (i < n) {
-        const int c = static_cast<int>(n - i);
-        store_aos_n<P, T, N>(mul(load_aos_n<P, T, N>(x + i, c), av), x + i, c);
-    }
-}
-
-/// <x, y> over AoS arrays; same BLK-accumulator discipline as planar dot.
-template <std::floating_point T, int N, int W>
-[[nodiscard]] MultiFloat<T, N> dot_aos(const MultiFloat<T, N>* x,
-                                       const MultiFloat<T, N>* y, std::size_t n) {
-    using P = Pack<T, W>;
-    constexpr std::size_t BLK = W > 8 ? W : 8;
-    constexpr std::size_t A = BLK / W;
-    MultiFloat<P, N> part[A];
-    for (std::size_t blk = 0; blk + BLK <= n; blk += BLK) {
-        for (std::size_t a = 0; a < A; ++a) {
-            const std::size_t i = blk + a * W;
-            part[a] = add(part[a], mul(load_aos<P, T, N>(x + i), load_aos<P, T, N>(y + i)));
-        }
-    }
-    MultiFloat<T, N> acc{};
-    for (std::size_t j = 0; j < BLK; ++j) {
-        acc = add(acc, lane<T, N>(part[j / W], static_cast<int>(j % W)));
-    }
-    for (std::size_t i = n - n % BLK; i < n; ++i) {
-        acc = add(acc, mul(x[i], y[i]));
+        acc = add(acc, mul(x.get(i), y.get(i)));
     }
     return acc;
 }
@@ -310,8 +194,10 @@ MF_ALWAYS_INLINE MultiFloat<T, N> largest_lane(const MultiFloat<Pack<T, W>, N>& 
 /// a chunk holds at most 2^16 blocks. Every n runs this path; the merge
 /// costs a fixed 65-170 ns, so blas::iamax runs the loop itself on vectors
 /// shorter than blas::detail::kIamaxLaneMin.
-template <std::floating_point T, int N, int W>
-[[nodiscard]] std::size_t iamax_aos(const MultiFloat<T, N>* x, std::size_t n) {
+template <int W, typename X>
+[[nodiscard]] std::size_t iamax(const X& x, std::size_t n) {
+    using T = typename X::value_type;
+    constexpr int N = X::limbs;
     using P = Pack<T, W>;
     using V = MultiFloat<P, N>;
     constexpr int A = 2;  // independent accumulation chains
@@ -342,16 +228,16 @@ template <std::floating_point T, int N, int W>
         };
         const std::size_t full = len / BLK;
         for (std::size_t b = 0; b < full; ++b) {
-            const MultiFloat<T, N>* p = x + c0 + b * BLK;
+            const X p = x + (c0 + b * BLK);
 #pragma GCC unroll 4
             for (int a = 0; a < A; ++a) {
-                update(a, magnitude(load_aos<P, T, N>(p + a * W)), static_cast<T>(b));
+                update(a, magnitude(p.template load<P>(a * W)), static_cast<T>(b));
             }
         }
         if (const std::size_t rem = len - full * BLK; rem > 0) {
             // Lanes past the end load as zero; -1 as their magnitude keeps
             // them from beating anything.
-            const MultiFloat<T, N>* p = x + c0 + full * BLK;
+            const X p = x + (c0 + full * BLK);
             const P lane_no = [] {
                 T l[W];
                 for (int j = 0; j < W; ++j) l[j] = static_cast<T>(j);
@@ -359,7 +245,7 @@ template <std::floating_point T, int N, int W>
             }();
             for (int a = 0; a < A && static_cast<std::size_t>(a) * W < rem; ++a) {
                 const int c = static_cast<int>(std::min<std::size_t>(W, rem - a * W));
-                V av = magnitude(load_aos_n<P, T, N>(p + a * W, c));
+                V av = magnitude(p.template load_n<P>(a * W, c));
                 av.limb[0] = select(cmp_lt(lane_no, P::broadcast(static_cast<T>(c))),
                                     av.limb[0], none);
                 update(a, av, static_cast<T>(full));
@@ -387,7 +273,7 @@ template <std::floating_point T, int N, int W>
             }
         }
         for (std::size_t w = 0; w < nc; ++w) {
-            if (abs(x[best]) < abs(x[cand[w]])) best = cand[w];
+            if (abs(x.get(best)) < abs(x.get(cand[w]))) best = cand[w];
         }
     }
     return best;

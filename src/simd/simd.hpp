@@ -6,8 +6,11 @@
 //                so the FPAN networks instantiate over packs unchanged.
 //   backend.hpp  Backend enum, CPUID detection, MF_SIMD_BACKEND override,
 //                active_backend()/set_backend().
-//   kernels.hpp  Width-templated pack FPAN kernels (planar and AoS); the
-//                elementwise ones end on one partial (masked) pack.
+//   layout.hpp   Planar and Aos row accessors and Matrix<Row>: the one place
+//                that knows how limbs sit in memory.
+//   kernels.hpp  Width-templated pack FPAN kernels, each written once over
+//                the accessors; the elementwise ones end on one partial
+//                (masked) pack.
 //   dispatch.hpp Runtime dispatch from the active backend to the kernels,
 //                one element count per call.
 //
@@ -16,4 +19,5 @@
 #include "backend.hpp"
 #include "dispatch.hpp"
 #include "kernels.hpp"
+#include "layout.hpp"
 #include "pack.hpp"

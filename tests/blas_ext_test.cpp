@@ -202,7 +202,7 @@ void expect_iamax_matches_scalar_loop(std::uint64_t seed) {
                 const std::size_t want = iamax_reference(x);
                 EXPECT_EQ(iamax<V>(view(x)), want)
                     << tag << " N=" << N << " n=" << n << " " << name;
-                EXPECT_EQ((simd::iamax_aos<T, N>(x.data(), n)), want)
+                EXPECT_EQ(simd::iamax(simd::aos(x.data()), n), want)
                     << tag << " N=" << N << " n=" << n << " " << name << " (lane kernel)";
             }
         }

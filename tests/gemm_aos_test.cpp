@@ -214,15 +214,10 @@ TEST(GemmPackedAos, OverwritesOnlyTheCView) {
 // A failed pack-scratch reservation (one allocation holding the B panel and
 // every worker slot's A block) degrades the AoS route to the unpacked path
 // bit-identically; that path zeroes the NaN-filled C before accumulating.
+// m = 72 fills every double pack width (2/4/8); m = 71 fills none, so each
+// row of the unpacked path ends on a partial pack.
 TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
     using V = MultiFloat<double, 2>;
-    constexpr std::size_t n = 40, k = 32, m = 72;
-    Block<V> a(n, k, 3), b(k, m, 3), want(n, m, 3);
-    std::mt19937_64 rng(11);
-    fill<double, 2>(rng, a.parent);
-    fill<double, 2>(rng, b.parent);
-    check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
-
     const auto degraded = [] {
         std::uint64_t total = 0;
         for (const auto& c : telemetry::Registry::instance().snapshot().counters) {
@@ -232,19 +227,28 @@ TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
         }
         return total;
     };
-    Block<V> c(n, m, 3);
-    nan_fill(c);
-    const std::uint64_t before = degraded();
-    guard::inject::arm_alloc(0);
-    ASSERT_NO_THROW(blas::gemm(a.cview(), b.cview(), c.view()));
-    guard::inject::reset();
+    for (const std::size_t m : {72u, 71u}) {
+        constexpr std::size_t n = 40, k = 32;
+        Block<V> a(n, k, 3), b(k, m, 3), want(n, m, 3);
+        std::mt19937_64 rng(11);
+        fill<double, 2>(rng, a.parent);
+        fill<double, 2>(rng, b.parent);
+        check::reference_gemm<double, 2>(a.cview(), b.cview(), want.view());
+
+        Block<V> c(n, m, 3);
+        nan_fill(c);
+        const std::uint64_t before = degraded();
+        guard::inject::arm_alloc(0);
+        ASSERT_NO_THROW(blas::gemm(a.cview(), b.cview(), c.view()));
+        guard::inject::reset();
 #if MF_TELEMETRY_ENABLED
-    EXPECT_EQ(degraded() - before, 1u);
+        EXPECT_EQ(degraded() - before, 1u) << "m=" << m;
 #else
-    (void)before;
+        (void)before;
 #endif
-    for (std::size_t i = 0; i < c.parent.size(); ++i) {
-        ASSERT_TRUE(same_bits(c.parent[i], want.parent[i])) << "@" << i;
+        for (std::size_t i = 0; i < c.parent.size(); ++i) {
+            ASSERT_TRUE(same_bits(c.parent[i], want.parent[i])) << "m=" << m << " @" << i;
+        }
     }
 }
 
