@@ -55,7 +55,7 @@ template <std::floating_point T>
     }
 }
 
-/// Were this backend's intrinsic specializations compiled into the binary?
+/// Were this backend's native packs compiled into the binary?
 [[nodiscard]] constexpr bool backend_compiled(Backend b) noexcept {
     switch (b) {
         case Backend::scalar: return true;

@@ -2,7 +2,7 @@
 // Runtime dispatch from the active Backend to width-templated pack kernels.
 //
 // The switch compiles one instantiation per backend that pack.hpp compiled
-// intrinsics for (guarded by the same MF_SIMD_HAVE_* macros), plus the
+// native packs for (guarded by the same MF_SIMD_HAVE_* macros), plus the
 // always-present scalar fallback, and jumps to the one active_backend()
 // names. The branch is per kernel call, not per element. Each entry below
 // also counts its elements once in mf_simd_kernel_ops_total{kernel=...};
@@ -53,7 +53,7 @@ template <typename X>
 }
 
 /// Invoke f(integral_constant<int, W>) with the active backend's pack width
-/// for base type T. Only widths whose intrinsic specializations are compiled
+/// for base type T. Only widths whose native packs are compiled
 /// in are reachable; anything else falls back to width 1 (scalar packs).
 template <std::floating_point T, typename F>
 MF_ALWAYS_INLINE decltype(auto) with_pack_width(F&& f) {

@@ -1,9 +1,10 @@
 #pragma once
 // Umbrella header for the mf::simd subsystem.
 //
-//   pack.hpp     Pack<T, W> vector value type (scalar fallback + SSE2/AVX2/
-//                AVX-512/NEON specializations); opts into mf::FloatingPoint
-//                so the FPAN networks instantiate over packs unchanged.
+//   pack.hpp     Pack<T, W> vector value type (scalar fallback, one x86
+//                vector-extension template, NEON specializations); opts
+//                into mf::FloatingPoint so the FPAN networks instantiate
+//                over packs unchanged.
 //   backend.hpp  Backend enum, CPUID detection, MF_SIMD_BACKEND override,
 //                active_backend()/set_backend().
 //   layout.hpp   Planar and Aos row accessors and Matrix<Row>: the one place

@@ -97,8 +97,20 @@ TYPED_TEST(PackTyped, LoadStoreBroadcastRoundTrip) {
                 }
             }
         }
-        const P b = P::broadcast(T(1.5));
-        for (int j = 0; j < W; ++j) ASSERT_EQ(b[j], T(1.5));
+        // Broadcast copies bits: one computed as 0 + x turns -0.0 into +0.0.
+        using lim = std::numeric_limits<T>;
+        const T nan_payload = std::bit_cast<T>(bits(lim::quiet_NaN()) | Bits<T>(0x2a));
+        const T specials[] = {T(1.5),      -T(0),           lim::infinity(), -lim::infinity(),
+                              nan_payload, lim::denorm_min(), lim::max()};
+        for (const T x : specials) {
+            const P b = P::broadcast(x);
+            T out[W];
+            b.store(out);
+            for (int j = 0; j < W; ++j) {
+                ASSERT_EQ(bits(b[j]), bits(x)) << "broadcast W=" << W << " lane=" << j;
+                ASSERT_EQ(bits(out[j]), bits(x)) << "broadcast W=" << W << " lane=" << j;
+            }
+        }
         const P z;  // default = all lanes zero
         for (int j = 0; j < W; ++j) ASSERT_EQ(bits(z[j]), bits(T(0)));
     });
