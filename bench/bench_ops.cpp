@@ -148,11 +148,14 @@ void BM_sin_throughput(benchmark::State& state) {
     BENCHMARK(BM_exp_throughput<V>)->Name("exp_throughput/" tag);  \
     BENCHMARK(BM_sin_throughput<V>)->Name("sin_throughput/" tag)
 
-// --- complex throughput (the layer under perfbench's fft_roundtrip) ---------
+// --- complex latency and throughput (the layer under perfbench's
+// fft_roundtrip, whose butterflies are a dependent mul -> add chain) ---------
 // operands<Complex>() leaves the imaginary parts zero; the networks are
 // branch-free, so the time does not depend on the values.
 
 #define MF_BENCH_COMPLEX(C, tag)                                          \
+    BENCHMARK(BM_add_latency<C>)->Name("complex_add_latency/" tag);       \
+    BENCHMARK(BM_mul_latency<C>)->Name("complex_mul_latency/" tag);       \
     BENCHMARK(BM_mul_throughput<C>)->Name("complex_mul_throughput/" tag); \
     BENCHMARK(BM_add_throughput<C>)->Name("complex_add_throughput/" tag)
 

@@ -11,9 +11,35 @@
 // All functions here are branch-free straight-line code and are valid for any
 // IEEE binary format (float, double, ...) under round-to-nearest-even,
 // provided no intermediate overflows and inputs are finite.
+//
+// TwoSum takes one of two forms, with the same bits on that domain:
+//
+//  * Knuth's 6-flop form, for scalar T (GCC cannot widen a scalar
+//    intrinsic, so a vrange there would keep user loops from vectorizing),
+//    soft::SoftFloat, the portable per-lane Pack, NEON and SSE2/AVX2 packs,
+//    and under constant evaluation. Its error term ends a chain of 5
+//    dependent adds.
+//  * An ordered FastTwoSum on packs that define order_by_magnitude (found by
+//    ADL, as two_prod finds fma): the AVX-512DQ x86 packs, where one vrange
+//    picks the operand of larger magnitude. s = a + b; (hi, lo) = that
+//    operand and the other; e = lo + (hi - s). Five instructions, and the
+//    error path is max(vrange, add) + 2 adds.
+//
+// Exactness: with |hi| >= |lo|, hi - s is exact (Sterbenz-style argument of
+// FastTwoSum, Dekker 1971) and e is the exact error, as Knuth's is; an exact
+// error is unique, so both return the same e. Signed zeros agree as well:
+// when the sum is exact, Knuth's e is +0, and so is lo + (hi - s), while the
+// textbook lo - (s - hi) returns -0 whenever lo is -0. So for every finite
+// pair whose sum does not overflow the two forms give the same (s, e) bits,
+// and an inf or NaN operand gives a NaN e in both. Outside the domain, an
+// overflowing finite sum (s = +-inf) gives Knuth's e = NaN but the ordered
+// form's e = -s, an infinity of the other sign (tests/simd_pack_test.cpp
+// pins both; Yang et al., "On the robustness of double-word addition
+// algorithms", show TwoSum-based adders going wrong near overflow).
 
 #include <cmath>
 #include <concepts>
+#include <type_traits>
 #include <utility>
 
 /// The FPAN kernels must inline completely: a leftover call defeats the loop
@@ -58,7 +84,8 @@ struct ProdErr {
 };
 
 /// TwoSum (Algorithm 1): 6-flop error-free addition, valid for all finite
-/// inputs regardless of their relative magnitudes.
+/// inputs regardless of their relative magnitudes (as an ordered FastTwoSum
+/// where T defines order_by_magnitude; see the header).
 ///
 /// Returns (s, e) with s = RN(a + b) and e = (a + b) - s exactly.
 ///
@@ -69,6 +96,12 @@ struct ProdErr {
 template <FloatingPoint T>
 [[nodiscard]] MF_ALWAYS_INLINE constexpr SumErr<T> two_sum(T a, T b) noexcept {
     T s = a + b;
+    if constexpr (requires { order_by_magnitude(a, b); }) {
+        if (!std::is_constant_evaluated()) {
+            const auto [hi, lo] = order_by_magnitude(a, b);
+            return {s, lo + (hi - s)};
+        }
+    }
     const T a_eff = s - b;   // the portion of s contributed by a
     const T b_eff = s - a_eff;
     const T da = a - a_eff;  // exact: what a lost

@@ -23,6 +23,11 @@
 // <= 2^-(2p-3)|xy|); N = 3, 4 are reconstructions whose bounds (2^-(3p-3),
 // 2^-(4p-4)) the test suite enforces against the exact BigFloat oracle.
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
+
 #include "add.hpp"  // detail::run_fpan
 #include "eft.hpp"
 #include "multifloat.hpp"
@@ -99,12 +104,29 @@ template <FloatingPoint T, int N>
     }
 }
 
-/// Multiplication by 2^e, applied limb-wise with one libm std::ldexp call
-/// per limb. Exact while every limb stays normal: a limb scaled into the
-/// subnormal range rounds, and a large e overflows to +-Inf.
+/// Multiplication by 2^e, limb by limb. Where 2^e is a normal number of an
+/// IEEE binary32/binary64 T, each limb is multiplied by that power, built
+/// from its bit pattern: one correctly rounded multiply by an exact power of
+/// two is std::ldexp bit for bit (subnormal results, +-0, inf and NaN
+/// included), and the limb loop has no libm call. Outside that range (and
+/// for other value types) each limb takes std::ldexp. Exact while every limb
+/// stays normal: a limb scaled into the subnormal range rounds, and a large
+/// e overflows to +-Inf.
 template <FloatingPoint T, int N>
 [[nodiscard]] MultiFloat<T, N> ldexp(const MultiFloat<T, N>& x, int e) noexcept {
     MultiFloat<T, N> r;
+    if constexpr (std::floating_point<T> && std::numeric_limits<T>::is_iec559 &&
+                  (sizeof(T) == 4 || sizeof(T) == 8)) {
+        using L = std::numeric_limits<T>;
+        using U = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+        if (e >= L::min_exponent - 1 && e <= L::max_exponent - 1) {
+            // Biased exponent e + (1 - (min_exponent - 1)), zero significand.
+            const T scale =
+                std::bit_cast<T>(static_cast<U>(e - L::min_exponent + 2) << (L::digits - 1));
+            for (int i = 0; i < N; ++i) r.limb[i] = x.limb[i] * scale;
+            return r;
+        }
+    }
     for (int i = 0; i < N; ++i) r.limb[i] = std::ldexp(x.limb[i], e);
     return r;
 }

@@ -20,7 +20,8 @@
 // shuffles are the extension's generic operators. Only what GCC has no
 // generic form for is written per ISA: the fused multiply-add (TwoProd
 // requires one; per-lane std::fma where the build has no FMA instruction),
-// the AVX2 / AVX-512 masked partial moves, and the shuffle span of a
+// the AVX-512DQ magnitude select (two_sum runs as an ordered FastTwoSum on
+// it), the AVX2 / AVX-512 masked partial moves, and the shuffle span of a
 // 32-byte pack without AVX-512VL. NEON keeps intrinsic specializations of
 // its two 16-byte packs.
 //
@@ -282,6 +283,11 @@ struct Pack {
 // What stays per ISA is what GCC has no generic form for:
 //   * fma: the fused instruction where the build has one (detail::fmadd),
 //     per-lane std::fma otherwise (SSE2-era parts);
+//   * order_by_magnitude: vrangepd / vrangeps (detail::abs_max) and one
+//     vpternlog (detail::xor3) on AVX-512DQ, with AVX-512VL for 16- and
+//     32-byte packs; two_sum (mf/eft.hpp) then takes its ordered FastTwoSum
+//     form. Without them the pack has no order_by_magnitude and two_sum stays
+//     Knuth's;
 //   * load_n / store_n: AVX2 and AVX-512 masked moves (detail::masked_load,
 //     masked_store); 16-byte packs copy lane by lane;
 //   * the shuffle span: a 32-byte pack without AVX-512VL has no two-source
@@ -302,6 +308,8 @@ namespace detail {
 // A register type with no overload below picks these, so Pack's requires
 // test fails and it takes the generic form.
 void fmadd(...) = delete;
+void abs_max(...) = delete;
+void xor3(...) = delete;
 void masked_load(...) = delete;
 void masked_store(...) = delete;
 
@@ -321,6 +329,49 @@ MF_ALWAYS_INLINE __m256d fmadd(__m256d a, __m256d b, __m256d c) noexcept {
 }
 #endif
 #endif  // __FMA__
+
+/// Magnitude select: per lane, whichever of a and b has the larger
+/// magnitude, as a bit copy (vrange imm8 0x07: absolute max, sign of the
+/// selected operand; on a tie |a| == |b| the positive one). AVX-512DQ, and
+/// AVX-512VL for the 16- and 32-byte forms.
+#if defined(__AVX512DQ__) && defined(__AVX512VL__)
+MF_ALWAYS_INLINE __m128 abs_max(__m128 a, __m128 b) noexcept { return _mm_range_ps(a, b, 0x07); }
+MF_ALWAYS_INLINE __m128d abs_max(__m128d a, __m128d b) noexcept {
+    return _mm_range_pd(a, b, 0x07);
+}
+MF_ALWAYS_INLINE __m256 abs_max(__m256 a, __m256 b) noexcept {
+    return _mm256_range_ps(a, b, 0x07);
+}
+MF_ALWAYS_INLINE __m256d abs_max(__m256d a, __m256d b) noexcept {
+    return _mm256_range_pd(a, b, 0x07);
+}
+#endif
+#if defined(__AVX512DQ__)
+MF_ALWAYS_INLINE __m512 abs_max(__m512 a, __m512 b) noexcept {
+    return _mm512_range_ps(a, b, 0x07);
+}
+MF_ALWAYS_INLINE __m512d abs_max(__m512d a, __m512d b) noexcept {
+    return _mm512_range_pd(a, b, 0x07);
+}
+/// a ^ b ^ c on the bits of a register, one vpternlog: GCC 12 fuses the
+/// two xors of integer vectors, not of float vectors cast to integers.
+template <typename R>
+[[nodiscard]] MF_ALWAYS_INLINE R xor3(R a, R b, R c) noexcept {
+    if constexpr (sizeof(R) == 16) {
+        return reinterpret_cast<R>(_mm_ternarylogic_epi64(
+            reinterpret_cast<__m128i>(a), reinterpret_cast<__m128i>(b),
+            reinterpret_cast<__m128i>(c), 0x96));
+    } else if constexpr (sizeof(R) == 32) {
+        return reinterpret_cast<R>(_mm256_ternarylogic_epi64(
+            reinterpret_cast<__m256i>(a), reinterpret_cast<__m256i>(b),
+            reinterpret_cast<__m256i>(c), 0x96));
+    } else {
+        return reinterpret_cast<R>(_mm512_ternarylogic_epi64(
+            reinterpret_cast<__m512i>(a), reinterpret_cast<__m512i>(b),
+            reinterpret_cast<__m512i>(c), 0x96));
+    }
+}
+#endif
 
 #if MF_SIMD_HAVE_AVX2
 /// Masked moves: lanes [0, count) of the 32-bit (live32) or 64-bit (live64)
@@ -516,6 +567,17 @@ struct Pack<T, W> {
         return Pack(a.v * b.v);
     }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack operator-(Pack a) noexcept { return Pack(-a.v); }
+    /// (hi, lo): per lane, whichever of a and b has the larger magnitude
+    /// and the other one, both bit copies. Defined only where detail::abs_max
+    /// is one instruction; mf::two_sum finds it by ADL and runs as an ordered
+    /// FastTwoSum (mf/eft.hpp).
+    [[nodiscard]] friend MF_ALWAYS_INLINE std::pair<Pack, Pack> order_by_magnitude(
+        Pack a, Pack b) noexcept
+        requires requires(V x) { detail::abs_max(x, x); }
+    {
+        const V hi = detail::abs_max(a.v, b.v);
+        return {Pack(hi), Pack(detail::xor3(a.v, b.v, hi))};
+    }
     [[nodiscard]] friend MF_ALWAYS_INLINE Pack fma(Pack a, Pack b, Pack c) noexcept {
         if constexpr (requires { detail::fmadd(a.v, b.v, c.v); }) {
             return Pack(detail::fmadd(a.v, b.v, c.v));

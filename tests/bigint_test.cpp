@@ -144,7 +144,9 @@ TEST(BigInt, CompareTotalOrder) {
         const int ab = ucmp(a, b);
         EXPECT_EQ(ucmp(b, a), -ab);
         EXPECT_EQ(ucmp(a, a), 0);
-        if (ab < 0) EXPECT_GT(ucmp(uadd(a, L(1)), a), 0);
+        if (ab < 0) {
+            EXPECT_GT(ucmp(uadd(a, L(1)), a), 0);
+        }
     }
 }
 

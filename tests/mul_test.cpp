@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <type_traits>
+#include <vector>
 
 #include "support.hpp"
 
@@ -91,6 +97,50 @@ TYPED_TEST(MulTyped, PowerOfTwoScalingIsExact) {
         // Multiplying by the expansion 2^e agrees bit-for-bit in value.
         const TypeParam viaMul = mul(x, TypeParam(std::ldexp(T(1), e)));
         EXPECT_EQ(mf::big::BigFloat::cmp(exact(viaMul), want), 0) << "case " << i;
+    }
+}
+
+// ldexp multiplies by an exact power of two where one is a normal number
+// and calls std::ldexp elsewhere: either way each limb must be std::ldexp's
+// bit for bit, including results that round into the subnormal range or
+// overflow, signed zeros, infinities and NaN (compared by class), for every
+// e from far below the subnormal range to far above overflow.
+TYPED_TEST(MulTyped, LdexpMatchesStdLdexpPerLimb) {
+    using T = typename TypeParam::value_type;
+    using L = std::numeric_limits<T>;
+    constexpr int N = TypeParam::num_limbs;
+    using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    std::vector<T> vals = {T(0),          L::denorm_min(), T(3) * L::denorm_min(),
+                           L::min(),      std::nextafter(L::min(), T(0)),
+                           T(1),          std::nextafter(T(1), T(2)), T(1.5),
+                           T(0.75),       L::max(),        L::infinity(),
+                           L::quiet_NaN()};
+    const std::size_t n_special = vals.size();
+    for (std::size_t i = 0; i < n_special; ++i) vals.push_back(-vals[i]);
+    std::mt19937_64 rng(404);
+    for (int i = 0; i < 64; ++i) {
+        vals.push_back(std::ldexp(std::uniform_real_distribution<T>(T(-2), T(2))(rng),
+                                  static_cast<int>(rng() % 200) - 100));
+    }
+    std::vector<int> exps = {std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+                             -100000, 100000};
+    const int span = L::max_exponent - L::min_exponent + 2 * L::digits + 8;
+    for (int e = -span; e <= span; ++e) exps.push_back(e);
+    for (int e : exps) {
+        for (std::size_t i = 0; i + N <= vals.size(); ++i) {
+            TypeParam x;
+            for (int k = 0; k < N; ++k) x.limb[k] = vals[i + k];
+            const TypeParam r = ldexp(x, e);
+            for (int k = 0; k < N; ++k) {
+                const T want = std::ldexp(x.limb[k], e);
+                if (std::isnan(want)) {
+                    ASSERT_TRUE(std::isnan(r.limb[k])) << x.limb[k] << " e=" << e;
+                } else {
+                    ASSERT_EQ(std::bit_cast<Bits>(r.limb[k]), std::bit_cast<Bits>(want))
+                        << x.limb[k] << " e=" << e;
+                }
+            }
+        }
     }
 }
 

@@ -12,12 +12,14 @@
 // partial moves that end a kernel's sweep (load_n / store_n and the
 // interleaved _n forms) must match the same loops on their live lanes and
 // touch no memory past them, and cmp_lt / select must match the scalar
-// a < b ? x : y in every lane.
+// a < b ? x : y in every lane. two_sum, which the AVX-512DQ packs run as an
+// ordered FastTwoSum, must give Knuth's TwoSum bits on its whole domain.
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -266,6 +268,118 @@ TYPED_TEST(PackTyped, TwoProdMatchesScalarOnSpecials) {
                 }
             }
         }
+    });
+}
+
+/// Knuth's 6-op TwoSum, spelled out: the reference for the ordered form
+/// two_sum takes on packs that define order_by_magnitude (mf/eft.hpp).
+template <typename T>
+std::pair<T, T> knuth_two_sum(T a, T b) {
+    const T s = a + b;
+    const T a_eff = s - b;
+    const T b_eff = s - a_eff;
+    return {s, (a - a_eff) + (b - b_eff)};
+}
+
+/// A random finite T anywhere in the exponent range, subnormals included:
+/// uniform biased exponent, uniform significand bits and sign. With
+/// `near`, the exponent is instead within digits + 3 of near's, so the pair
+/// rounds with a nonzero error more often than not.
+template <typename T>
+T random_finite(std::mt19937_64& rng, const T* near = nullptr) {
+    using L = std::numeric_limits<T>;
+    constexpr int kFrac = L::digits - 1;
+    constexpr int kTop = (1 << (8 * static_cast<int>(sizeof(T)) - 1 - kFrac)) - 2;  // max finite
+    int exp = static_cast<int>(rng() % (kTop + 1));
+    if (near != nullptr) {
+        const int base = static_cast<int>((bits(*near) >> kFrac) & static_cast<Bits<T>>(kTop + 1));
+        exp = std::clamp(base + static_cast<int>(rng() % (2 * L::digits + 7)) - (L::digits + 3), 0,
+                         kTop);
+    }
+    const Bits<T> r = static_cast<Bits<T>>(rng());
+    const Bits<T> frac = r & ((Bits<T>(1) << kFrac) - 1);
+    const Bits<T> sign = r & (Bits<T>(1) << (8 * sizeof(T) - 1));
+    return std::bit_cast<T>(sign | (static_cast<Bits<T>>(exp) << kFrac) | frac);
+}
+
+// two_sum on packs against Knuth's TwoSum. On AVX-512DQ(+VL) builds the
+// native packs run it as an ordered FastTwoSum (vrange picks the larger
+// magnitude); everywhere else they run Knuth's form. Either way: the same
+// (s, e) bits for every finite pair whose sum does not overflow, and the
+// same NaN-ness of e when an input is inf or NaN. An overflowing finite sum
+// is outside TwoSum's domain; there Knuth's e is NaN and the ordered form's
+// is -s (an infinity of the other sign), pinned here so a change to either
+// shows. Operands cross a grid of signed specials, ulp neighbours, ties
+// a = +-b and the extremes pairwise, plus 2^20 random pairs over the whole
+// exponent range.
+TYPED_TEST(PackTyped, OrderedTwoSumMatchesKnuth) {
+    using T = TypeParam;
+    using L = std::numeric_limits<T>;
+    std::vector<T> as, bs;
+    {
+        std::vector<T> grid;
+        for (T x : {T(0), L::denorm_min(), T(2) * L::denorm_min(),
+                    std::nextafter(L::min(), T(0)), L::min(), std::nextafter(L::min(), T(1)),
+                    T(1), std::nextafter(T(1), T(2)), std::nextafter(T(1), T(0)),
+                    L::epsilon() / T(2), L::epsilon(), T(1.5), T(3), L::max() / T(2),
+                    std::nextafter(L::max(), T(0)), L::max(), L::infinity(), L::quiet_NaN()}) {
+            grid.push_back(x);
+            grid.push_back(-x);
+        }
+        for (T a : grid) {
+            for (T b : grid) {
+                as.push_back(a);
+                bs.push_back(b);
+            }
+        }
+        std::mt19937_64 rng(61);
+        for (int i = 0; i < (1 << 20); ++i) {
+            const T a = random_finite<T>(rng);
+            as.push_back(a);
+            bs.push_back(random_finite<T>(rng, i % 2 == 0 ? &a : nullptr));
+        }
+        while (as.size() % 16 != 0) {
+            as.push_back(T(1));
+            bs.push_back(T(1));
+        }
+    }
+    for_each_width<T>([&](auto w) {
+        constexpr int W = w();
+        using P = Pack<T, W>;
+        constexpr bool ordered = requires(P x) { order_by_magnitude(x, x); };
+#if defined(MF_SIMD_X86) && defined(__AVX512DQ__) && defined(__AVX512VL__)
+        EXPECT_EQ(ordered, sizeof(T) * W >= 16) << "W=" << W;
+#else
+        EXPECT_FALSE(ordered) << "W=" << W;
+#endif
+        std::size_t overflows = 0;
+        for (std::size_t i = 0; i < as.size(); i += W) {
+            const auto [s, e] = mf::two_sum(P::load(as.data() + i), P::load(bs.data() + i));
+            for (int j = 0; j < W; ++j) {
+                const T a = as[i + j], b = bs[i + j];
+                const auto [ks, ke] = knuth_two_sum(a, b);
+                if (std::isnan(ks)) {
+                    ASSERT_TRUE(std::isnan(s[j])) << "W=" << W << " " << a << " + " << b;
+                } else {
+                    ASSERT_EQ(bits(s[j]), bits(ks)) << "W=" << W << " " << a << " + " << b;
+                }
+                if (!std::isfinite(a) || !std::isfinite(b)) {
+                    ASSERT_EQ(std::isnan(e[j]), std::isnan(ke))
+                        << "W=" << W << " " << a << " + " << b;
+                } else if (std::isinf(ks)) {
+                    ++overflows;
+                    ASSERT_TRUE(std::isnan(ke));
+                    if (ordered) {
+                        ASSERT_EQ(bits(e[j]), bits(-ks)) << "W=" << W << " " << a << " + " << b;
+                    } else {
+                        ASSERT_TRUE(std::isnan(e[j])) << "W=" << W << " " << a << " + " << b;
+                    }
+                } else {
+                    ASSERT_EQ(bits(e[j]), bits(ke)) << "W=" << W << " " << a << " + " << b;
+                }
+            }
+        }
+        EXPECT_GT(overflows, 0u);
     });
 }
 
