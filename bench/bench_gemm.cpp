@@ -34,10 +34,6 @@
 #include <utility>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "blas/blas.hpp"
 #include "fpan/gates.hpp"
 #include "guard/guard.hpp"
@@ -125,8 +121,7 @@ void report(bench::JsonReport& out, const char* kernel, const char* type,
 }
 
 /// gemm_packed on n x k times k x n at 1, 2 and 4 workers
-/// (GemmConfig::max_threads, so builds without OpenMP run the std::thread
-/// pool): cubes (k = n) as "gemm_packed" records, the LU's skinny updates
+/// (GemmConfig::max_threads): cubes (k = n) as "gemm_packed" records, the LU's skinny updates
 /// (k = 32, Float64x2) as "lu_update" ones. C accumulates across reps (the
 /// contract is C += A B) -- harmless for timing.
 template <FloatingPoint T, int N>
@@ -170,32 +165,9 @@ void run_packed(bench::JsonReport& out, const char* type_name, std::size_t dim,
     }
 }
 
-/// Worker counts the AoS records run at. blas::gemm takes its worker count
-/// from the runtime, so builds without OpenMP record the default only.
-std::vector<int> aos_thread_counts() {
-#if defined(_OPENMP)
-    return {1, 2, 4};
-#else
-    return {static_cast<int>(blas::engine::default_threads())};
-#endif
-}
-
-/// Run body() with the runtime's worker count set to `threads` (OpenMP).
-template <typename F>
-void with_threads(int threads, F&& body) {
-#if defined(_OPENMP)
-    const int saved = omp_get_max_threads();
-    omp_set_num_threads(threads);
-    body();
-    omp_set_num_threads(saved);
-#else
-    (void)threads;
-    body();
-#endif
-}
-
 /// Public AoS blas::gemm (C = A B over Float64x2 vectors), n x k times
-/// k x n, at each of aos_thread_counts(): the cubes (k = n) as "blas_gemm"
+/// k x n, at 1, 2 and 4 workers (engine::set_default_threads; blas::gemm
+/// takes its worker count from the engine's default): the cubes (k = n) as "blas_gemm"
 /// records, the LU's skinny updates (k = 32) as "lu_update" ones.
 void run_blas_gemm(bench::JsonReport& out, std::size_t dim, std::size_t kdim,
                    double min_time, double rate) {
@@ -209,17 +181,17 @@ void run_blas_gemm(bench::JsonReport& out, std::size_t dim, std::size_t kdim,
     for (V& x : b) x = V(bench::fill_value(rng));
     const int width = simd::active_width<double>();
     const bool cube = n == k;
-    for (int t : aos_thread_counts()) {
-        with_threads(t, [&] {
-            const double secs = bench::median_time(
-                [&] {
-                    blas::gemm(blas::view(std::as_const(a), n, k),
-                               blas::view(std::as_const(b), k, n), blas::view(c, n, n));
-                },
-                min_time);
-            report(out, cube ? "blas_gemm" : "lu_update", "double", 2, width, secs, ops, n,
-                   t, ceiling_ns(2, width, rate, t), cube ? "" : "blas_gemm", cube ? 0 : k);
-        });
+    for (int t : {1, 2, 4}) {
+        const unsigned saved = blas::engine::set_default_threads(static_cast<unsigned>(t));
+        const double secs = bench::median_time(
+            [&] {
+                blas::gemm(blas::view(std::as_const(a), n, k), blas::view(std::as_const(b), k, n),
+                           blas::view(c, n, n));
+            },
+            min_time);
+        blas::engine::set_default_threads(saved);
+        report(out, cube ? "blas_gemm" : "lu_update", "double", 2, width, secs, ops, n, t,
+               ceiling_ns(2, width, rate, t), cube ? "" : "blas_gemm", cube ? 0 : k);
     }
 }
 
@@ -335,14 +307,14 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
 
 /// Cost of one engine fork/join: an empty parallel_blocks_slots region with
 /// one block per worker, for a constant plan and for a plan that alternates
-/// between 2 and 4 workers. Both plans fork the runtime's full team, so the
+/// between 2 and 4 workers. Both plans run on the engine's one team, so the
 /// pair should cost about two 4-worker regions; a pair far above that means
-/// the runtime retired and re-created threads between them. This is the
-/// overhead engine::kForkMadds weighs a worker's share against.
+/// workers were ended and started again between them. This is the overhead
+/// engine::kForkMadds weighs a worker's share against.
 void report_fork_join(double min_time) {
     const auto region = [](unsigned nw) {
         blas::engine::parallel_blocks_slots(
-            nw, [](std::size_t, unsigned) {}, blas::engine::ThreadMode::automatic, nw);
+            nw, [](std::size_t, unsigned) {}, nw);
     };
     std::printf("bench_gemm: engine fork/join, empty region");
     for (unsigned nw : {2u, 4u}) {

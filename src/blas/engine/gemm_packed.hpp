@@ -39,8 +39,8 @@
 // block's region ends before the next one starts, so no element is touched
 // by two threads at once and none sees its updates out of order.
 // Result: bit-identical to the scalar check::reference_gemm for every
-// backend, thread count, and threading substrate -- enforced by
-// check::diff_gemm_packed and the fuzz-smoke conformance tier.
+// backend and worker count -- enforced by check::diff_gemm_packed and the
+// fuzz-smoke conformance tier.
 
 #include <algorithm>
 #include <cstddef>
@@ -68,9 +68,8 @@ struct BlockShape {
 
 /// Execution knobs for gemm_packed.
 struct GemmConfig {
-    BlockShape blocks{};  ///< 0-fields auto-selected per backend
-    engine::ThreadMode threads = engine::ThreadMode::automatic;
-    unsigned max_threads = 0;  ///< worker cap; 0 = runtime default
+    BlockShape blocks{};       ///< 0-fields auto-selected per backend
+    unsigned max_threads = 0;  ///< worker cap; 1 = serial, 0 = engine::default_threads()
 };
 
 namespace engine {
@@ -174,11 +173,11 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
         // per row block up to the cap: tiny pinned blocks are how the fault
         // matrix forces spawns on a small product (check/robustness.hpp).
         const bool pinned = cfg.blocks.mc != 0;
-        const unsigned nw = fork_workers(tiles, tile_madds, cfg.threads, cfg.max_threads);
+        const unsigned nw = fork_workers(tiles, tile_madds, cfg.max_threads);
         const std::size_t mc = pinned ? bs.mc : item_rows(n, MR, bs.mc, nw);
         const std::size_t row_blocks = (n + mc - 1) / mc;
         const Partition plan = plan_partition(row_blocks, panels, tiles, tile_madds,
-                                              cfg.threads, pinned ? cfg.max_threads : nw);
+                                              pinned ? cfg.max_threads : nw);
         // Pack scratch: the shared B panel, then one A block per worker slot,
         // each padded to whole cache lines, in the calling thread's one
         // scratch block (thread_scratch), which later calls reuse.
@@ -256,7 +255,7 @@ void gemm_accumulate(const AAccess& a, const BAccess& b, const CAccess& c,
                             }
                         }
                     },
-                    cfg.threads, plan.workers, nominal_env);
+                    plan.workers, nominal_env);
             }
         }
     });

@@ -24,8 +24,8 @@
 // GEMM, contiguous ranges for AXPY and SCAL. That one helper owns the
 // decision to fork: below engine::kCallForkMadds the body runs inline on the
 // calling thread, so a small call costs its arithmetic plus the sentinel;
-// above it the runtime's team splits the ranges, serially when the caller is
-// already inside a parallel region. DOT reduces fixed 2048-element chunks in
+// above it the engine's worker team splits the ranges, serially when the
+// caller is already inside a parallel region or the team is busy. DOT reduces fixed 2048-element chunks in
 // chunk order, so its bits depend on neither the team size nor the order in
 // which workers finish. MultiFloat GEMM runs the packed engine
 // (engine/gemm_packed.hpp) instead.

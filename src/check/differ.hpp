@@ -12,10 +12,10 @@
 //   * the dot reduction on both layouts (dot, dot_aos), which additionally
 //     pins the historical eight-accumulator merge order for widths <= 8;
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. the scalar
-//     check::reference_gemm across every available backend, worker count,
-//     and threading substrate (OpenMP and the std::thread pool), including
-//     deliberately tiny cache blocks so pack edges are exercised, plus one
-//     run nested inside an enclosing parallel region (nesting guard).
+//     check::reference_gemm across every available backend and worker
+//     count, including deliberately tiny cache blocks so pack edges are
+//     exercised, plus runs nested inside a region (nesting guard) and from
+//     concurrent callers while a region holds the team (busy guard).
 //
 // Comparison is raw bit identity per limb, except that any-NaN == any-NaN:
 // lanes that produce NaN must agree on NaN-ness, not on payload bits.
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../blas/engine/gemm_packed.hpp"
@@ -31,10 +32,6 @@
 #include "../simd/simd.hpp"
 #include "generators.hpp"
 #include "reference.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace mf::check {
 
@@ -44,8 +41,8 @@ struct DiffRecord {
                           ///< "dot_aos" | "gemm_packed"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
-    std::string backend;  ///< backend name; gemm adds "/threads=K/auto|pool", or
-                          ///< is "nested"
+    std::string backend;  ///< backend name; gemm adds "/threads=K", or is
+                          ///< "nested" | "concurrent"
     int width = 0;        ///< pack lanes of the backend under test
     std::uint64_t elements = 0;
     std::uint64_t mismatches = 0;
@@ -204,12 +201,14 @@ template <std::floating_point T, int N>
 }
 
 /// Diff gemm_packed against check::reference_gemm across every available
-/// backend x worker count x threading substrate (OpenMP-automatic and the
-/// std::thread pool). `blocks` pins the cache blocks -- pass deliberately
-/// tiny ones (e.g. {8, 8, 16}) to force many pack edges and remainder
-/// micro-tiles; the default auto-selects per backend. One more record,
-/// "nested", has every thread of an enclosing OpenMP region issue its own
-/// GEMM, which the engine must serialize instead of oversubscribing.
+/// backend x worker count. `blocks` pins the cache blocks -- pass
+/// deliberately tiny ones (e.g. {8, 8, 16}) to force many pack edges and
+/// remainder micro-tiles; the default auto-selects per backend. Two more
+/// records run at the default worker count while one two-worker region
+/// holds the team: "nested" has the region's worker and its caller's own
+/// share each issue a GEMM, which the engine must run serially instead of
+/// nesting; "concurrent" has two other threads issue theirs meanwhile,
+/// which must run serially instead of waiting for the busy team.
 template <std::floating_point T, int N>
 [[nodiscard]] std::vector<DiffRecord> diff_gemm_packed(
     std::uint64_t seed, std::size_t n, std::size_t k, std::size_t m,
@@ -225,6 +224,10 @@ template <std::floating_point T, int N>
     std::vector<DiffRecord> out;
     blas::GemmConfig pcfg;
     pcfg.blocks = blocks;
+    const auto run = [&](planar::Vector<T, N>& c) {
+        blas::gemm_packed(planar::matrix_view(a, n, k), planar::matrix_view(b, k, m),
+                          planar::matrix_view(c, n, m), pcfg);
+    };
     {
         detail::BackendGuard guard;
         for (simd::Backend bk : {simd::Backend::scalar, simd::Backend::sse2,
@@ -233,60 +236,37 @@ template <std::floating_point T, int N>
             if (!simd::backend_available(bk)) continue;
             simd::set_backend(bk);
             for (int t : thread_counts) {
-                for (blas::engine::ThreadMode mode :
-                     {blas::engine::ThreadMode::automatic,
-                      blas::engine::ThreadMode::pool}) {
-                    planar::Vector<T, N> c(n * m);
-                    pcfg.threads = mode;
-                    pcfg.max_threads = static_cast<unsigned>(t);
-                    blas::gemm_packed(planar::matrix_view(a, n, k),
-                                      planar::matrix_view(b, k, m),
-                                      planar::matrix_view(c, n, m), pcfg);
-                    std::string label = std::string(simd::backend_name(bk)) +
-                                        "/threads=" + std::to_string(t) +
-                                        (mode == blas::engine::ThreadMode::pool
-                                             ? "/pool"
-                                             : "/auto");
-                    DiffRecord rec{"gemm_packed", type, N, std::move(label),
-                                   simd::backend_width<T>(bk), n * m,
-                                   detail::count_mismatches(c, want, n * m)};
-                    out.push_back(std::move(rec));
-                }
+                planar::Vector<T, N> c(n * m);
+                pcfg.max_threads = static_cast<unsigned>(t);
+                run(c);
+                out.push_back({"gemm_packed", type, N,
+                               std::string(simd::backend_name(bk)) + "/threads=" +
+                                   std::to_string(t),
+                               simd::backend_width<T>(bk), n * m,
+                               detail::count_mismatches(c, want, n * m)});
             }
         }
     }
-#if defined(_OPENMP)
-    {
-        // Nested: every thread of an enclosing region issues its own GEMM;
-        // the engine's in_parallel() guard must serialize each one.
-        pcfg.threads = blas::engine::ThreadMode::automatic;
-        pcfg.max_threads = 0;
-        planar::Vector<T, N> c0(n * m), c1(n * m);
-        planar::Vector<T, N>* cs[2] = {&c0, &c1};
-        bool done[2] = {false, false};
-        bool was_parallel = false;
-#pragma omp parallel num_threads(2)
-        {
-            const int id = omp_get_thread_num();
-#pragma omp critical
-            was_parallel = was_parallel || omp_in_parallel() != 0;
-            if (id < 2) {
-                blas::gemm_packed(planar::matrix_view(a, n, k),
-                                  planar::matrix_view(b, k, m),
-                                  planar::matrix_view(*cs[id], n, m), pcfg);
-                done[id] = true;
-            }
+    pcfg.max_threads = 0;
+    std::vector<planar::Vector<T, N>> cs(4, planar::Vector<T, N>(n * m));
+    blas::engine::parallel_blocks_slots(
+        2,
+        [&](std::size_t blk, unsigned) {
+            run(cs[blk]);
+            if (blk != 0) return;  // block 0 is the caller's own share
+            std::thread callers[2] = {std::thread([&] { run(cs[2]); }),
+                                      std::thread([&] { run(cs[3]); })};
+            for (std::thread& t : callers) t.join();
+        },
+        2);
+    for (std::size_t r = 0; r < 2; ++r) {
+        DiffRecord rec{"gemm_packed", type, N, r == 0 ? "nested" : "concurrent",
+                       simd::active_width<T>(), 2 * n * m, 0};
+        for (std::size_t i = 2 * r; i < 2 * r + 2; ++i) {
+            rec.mismatches += detail::count_mismatches(cs[i], want, n * m);
         }
-        DiffRecord rec{"gemm_packed", type, N, "nested", simd::active_width<T>(), 0, 0};
-        for (int id = 0; id < 2; ++id) {
-            if (!done[id]) continue;
-            rec.elements += n * m;
-            rec.mismatches += detail::count_mismatches(*cs[id], want, n * m);
-        }
-        if (!was_parallel) rec.backend = "nested(no-omp)";
         out.push_back(std::move(rec));
     }
-#endif
     return out;
 }
 

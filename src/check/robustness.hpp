@@ -20,8 +20,8 @@
 //                           (mf_guard_degraded_total{path="alloc"}),
 //                           bit-identical
 //   thread[k]               the k-th worker spawn throws system_error; the
-//                           calling thread must absorb the orphaned blocks
-//                           (mf_guard_degraded_total{path="thread"}),
+//                           live workers must absorb the missing worker's
+//                           items (mf_guard_degraded_total{path="thread"}),
 //                           bit-identical
 //
 // Used by tests/guard_degrade_test.cpp and `mf_fuzz --inject ...`.
@@ -79,8 +79,8 @@ namespace detail {
     using T = double;
     constexpr int N = 2;
     constexpr std::size_t n = 40, k = 9, m = 13;
-    // Tiny pinned blocks: 5 macro-panels (many pack edges), 2 reservations
-    // in serial mode, nw reservations + nw-1 spawns in pool mode.
+    // Tiny pinned blocks: 5 macro-panels (many pack edges); the 4-worker
+    // config plans 4 workers, so a restarted team spawns 3.
     const blas::BlockShape tiny{8, 8, 16};
 
     const guard::Policy saved_policy = guard::policy();
@@ -130,11 +130,10 @@ namespace detail {
 
     blas::GemmConfig serial;
     serial.blocks = tiny;
-    serial.threads = blas::engine::ThreadMode::serial;
-    blas::GemmConfig pool;
-    pool.blocks = tiny;
-    pool.threads = blas::engine::ThreadMode::pool;
-    pool.max_threads = 4;  // 5 blocks -> 4 planned workers, 3 spawns
+    serial.max_threads = 1;
+    blas::GemmConfig team;
+    team.blocks = tiny;
+    team.max_threads = 4;  // 5 blocks -> 4 planned workers, 3 spawns
 
     if (opt.env) {
         // Detection + neutralization needs enforce; warn would (correctly)
@@ -165,17 +164,17 @@ namespace detail {
     if (opt.alloc) {
         // The engine reserves all its pack scratch (the B panel and one A
         // block per planned worker slot) in one block, so alloc[0] is the
-        // only reservation point, serial or pooled.
+        // only reservation point, serial or on the team.
         run_case("alloc[0]-serial", "path=\"alloc\"", /*require_identical=*/true,
                  serial, [&] { guard::inject::arm_alloc(0); });
-        run_case("alloc[0]-pool", "path=\"alloc\"", /*require_identical=*/true, pool,
+        run_case("alloc[0]-team", "path=\"alloc\"", /*require_identical=*/true, team,
                  [&] { guard::inject::arm_alloc(0); });
     }
 
     if (opt.thread) {
         for (long nth : {0L, 1L}) {
-            run_case("thread[" + std::to_string(nth) + "]-pool",
-                     "path=\"thread\"", /*require_identical=*/true, pool,
+            run_case("thread[" + std::to_string(nth) + "]-team",
+                     "path=\"thread\"", /*require_identical=*/true, team,
                      [&] { guard::inject::arm_spawn(nth); });
         }
     }

@@ -87,7 +87,7 @@ std::string Network::diagram(std::span<const std::string> wire_labels) const {
     std::vector<std::string> rows(w);
     std::size_t label_width = 0;
     for (std::size_t i = 0; i < w; ++i) {
-        std::string lbl = i < wire_labels.size() ? wire_labels[i] : ("w" + std::to_string(i));
+        std::string lbl = i < wire_labels.size() ? wire_labels[i] : 'w' + std::to_string(i);
         label_width = std::max(label_width, lbl.size());
         rows[i] = std::move(lbl);
     }

@@ -201,9 +201,11 @@ struct FpEnvSnapshot {
 
 /// The environment every paper bound and bit-identity guarantee assumes:
 /// round-to-nearest with subnormals fully enabled. FMA contraction is
-/// excluded on purpose: the build pins -ffp-contract=off, TwoSum has no
-/// multiplies and TwoProd uses std::fma explicitly, so contraction is a
-/// provenance fact, not a correctness violation.
+/// excluded on purpose: it is a property of how the code was compiled, not
+/// of the run-time environment, and the build pins -ffp-contract=off --
+/// contraction would fuse mf::mul's plain a[i] * b[j] products into the
+/// adds that consume them and change its bits. The probe reports it as a
+/// provenance fact.
 [[nodiscard]] inline bool env_nominal(const FpEnvSnapshot& s) noexcept {
     return s.rounding == Rounding::nearest && s.subnormals_ok;
 }

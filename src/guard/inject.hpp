@@ -7,10 +7,10 @@
 //   alloc  -- the Nth pack-scratch reservation throws std::bad_alloc, as a
 //             real `operator new` would under memory pressure
 //             (AlignedBuffer::ensure counts one per reservation);
-//   spawn  -- the Nth std::thread construction of the engine's thread
-//             pool (engine::detail::spawn_workers) throws
-//             std::system_error(resource_unavailable_try_again), as a real
-//             spawn does at the pthread limit;
+//   spawn  -- the Nth std::thread construction of the engine's worker
+//             team throws std::system_error(resource_unavailable_try_again),
+//             as a real spawn does at the pthread limit (while armed, the
+//             team restarts before each region, so the spawns happen);
 //   env    -- at the Nth mid-GEMM checkpoint the calling thread's FP
 //             environment is perturbed (and deliberately NOT restored):
 //             detecting the leftover hostile state is what's under test.
@@ -85,10 +85,15 @@ inline void reset() noexcept {
     return detail::countdown_hit(detail::state().alloc_countdown);
 }
 
-/// Hook: called by engine::detail::spawn_workers before each std::thread
-/// construction.
+/// Hook: called by the engine's team before each std::thread construction.
 [[nodiscard]] inline bool should_fail_spawn() noexcept {
     return detail::countdown_hit(detail::state().spawn_countdown);
+}
+
+/// Hook: true while a spawn fault is armed; the engine's team then restarts
+/// before its next region, so the armed spawn is reached.
+[[nodiscard]] inline bool spawn_armed() noexcept {
+    return detail::state().spawn_countdown.load(std::memory_order_relaxed) >= 0;
 }
 
 /// Hook: mid-call environment checkpoint (e.g. before each kc block's

@@ -5,14 +5,10 @@
 // which SIMD backend dispatch actually selected at runtime.
 
 #include <string>
-#include <thread>
 
+#include "../blas/engine/threading.hpp"
 #include "../guard/fp_env.hpp"
 #include "../simd/backend.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 // Stamped by CMake (git rev-parse --short HEAD at configure time); builds
 // from a tarball or an uncommitted tree fall back to "unknown".
@@ -25,7 +21,7 @@ namespace mf::telemetry {
 struct BuildInfo {
     std::string git_sha;
     std::string compiler;
-    int threads = 1;      ///< worker threads a parallel region would use
+    int threads = 1;      ///< workers a parallel region uses (engine::default_threads)
     std::string backend;  ///< SIMD backend active at query time
     std::string fp_env;   ///< probed FP environment, e.g. "rn" or "rz+ftz"
                           ///< (guard::fp_env_string -- nominal is "rn")
@@ -35,18 +31,13 @@ struct BuildInfo {
     BuildInfo b;
     b.git_sha = MF_GIT_SHA;
 #if defined(__clang__)
-    b.compiler = std::string("clang ") + __clang_version__;
+    b.compiler = "clang " __clang_version__;
 #elif defined(__GNUC__)
-    b.compiler = std::string("gcc ") + __VERSION__;
+    b.compiler = "gcc " __VERSION__;
 #else
     b.compiler = "unknown";
 #endif
-#if defined(_OPENMP)
-    b.threads = omp_get_max_threads();
-#else
-    b.threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (b.threads < 1) b.threads = 1;
-#endif
+    b.threads = static_cast<int>(blas::engine::default_threads());
     b.backend = simd::backend_name(simd::active_backend());
     b.fp_env = guard::fp_env_string();
     return b;

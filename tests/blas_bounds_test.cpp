@@ -8,8 +8,8 @@
 // predicate, no behavior change on the pass path).
 //
 // Death tests fork the process; "threadsafe" style re-execs the binary so
-// the forked child is safe even though the parent may have spawned OpenMP
-// worker threads. Shapes are kept tiny so the kernels stay on their serial
+// the forked child is safe even though the parent may have started the
+// engine's worker team. Shapes are kept tiny so the kernels stay on their serial
 // paths inside the child.
 
 #include <gtest/gtest.h>

@@ -4,14 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 #include "baselines/campary/campary.hpp"
 #include "baselines/qd/dd_real.hpp"
@@ -177,7 +175,8 @@ TEST(BlasEdge, EmptyAndSingleton) {
 
 // A dot product long enough to be split across the team must not depend on
 // the thread count, on the order in which the workers finish, or on being
-// called from inside an enclosing parallel region (which runs it serially).
+// called while another caller's region holds the team (which runs it
+// serially).
 template <typename V>
 void expect_dot_repeatable(const std::vector<V>& x, const std::vector<V>& y) {
     const auto same = [](const V& a, const V& b) {
@@ -185,26 +184,26 @@ void expect_dot_repeatable(const std::vector<V>& x, const std::vector<V>& y) {
     };
     const auto run = [&] { return dot<V>(view(x), view(y)); };
     const V want = run();
-#if defined(_OPENMP)
-    const int saved = omp_get_max_threads();
-    for (int t = 1; t <= 4; ++t) {
-        omp_set_num_threads(t);
+    for (unsigned t = 1; t <= 4; ++t) {
+        const unsigned saved = mf::blas::engine::set_default_threads(t);
         for (int rep = 0; rep < 20; ++rep) {
             ASSERT_TRUE(same(run(), want)) << t << " threads, call " << rep;
         }
+        mf::blas::engine::set_default_threads(saved);
     }
-    omp_set_num_threads(saved);
-    std::vector<V> nested(4, V(-1.0));
-#pragma omp parallel num_threads(4)
-    nested[static_cast<std::size_t>(omp_get_thread_num())] = run();
-    for (const V& v : nested) {
-        if (!same(v, V(-1.0))) {
-            EXPECT_TRUE(same(v, want)) << "nested call";
-        }
+    // Four concurrent callers: at most one holds the team at a time, the
+    // others find it busy and run serially.
+    std::atomic<int> bad{0};
+    std::vector<std::thread> callers;
+    for (int i = 0; i < 4; ++i) {
+        callers.emplace_back([&] {
+            for (int rep = 0; rep < 20; ++rep) {
+                if (!same(run(), want)) ++bad;
+            }
+        });
     }
-#else
-    for (int rep = 0; rep < 20; ++rep) ASSERT_TRUE(same(run(), want)) << "call " << rep;
-#endif
+    for (std::thread& t : callers) t.join();
+    EXPECT_EQ(bad.load(), 0) << "concurrent calls";
 }
 
 TEST(BlasDot, RepeatableAcrossThreadCountsAndNesting) {

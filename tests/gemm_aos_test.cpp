@@ -7,9 +7,9 @@
 // reference that applies every update c = add(mul(a, b), c) in kk-ascending
 // order:
 //
-//   * bit-identical for every compiled backend x {1, 2, 4} workers x
-//     {OpenMP-automatic, std::thread pool}, both accumulating into a zero C
-//     and overwriting a NaN-filled one (C's prior contents are never read);
+//   * bit-identical for every compiled backend x {1, 2, 4} workers, both
+//     accumulating into a zero C and overwriting a NaN-filled one (C's
+//     prior contents are never read);
 //   * on square, skinny (k = 32, strided sub-block views as the blocked LU
 //     uses), fewer-rows-than-mc (forces the jr column split) and 1 x m /
 //     n x 1 edge shapes, for Float64x2/x3/x4 and Float32x2;
@@ -17,7 +17,7 @@
 //     cannot be allocated;
 //   * the shape-derived ic/jr partition keeps large products on the ic-only
 //     plan and splits small ones across workers, and a plan for fewer
-//     workers does not shrink the OpenMP team.
+//     workers does not end any of the team's workers.
 //
 // Suites are named GemmPacked* so the scalar-forced CI identity job runs
 // them alongside the planar engine's tests.
@@ -30,6 +30,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,7 +44,6 @@
 namespace {
 
 using namespace mf;
-using blas::engine::ThreadMode;
 
 template <typename T, int N>
 bool same_bits(const MultiFloat<T, N>& x, const MultiFloat<T, N>& y) {
@@ -141,20 +141,16 @@ void expect_aos_gemm_matches_reference(std::uint64_t seed) {
                 expect_same(c, tag + "/blas::gemm");
             }
             for (unsigned t : {1u, 2u, 4u}) {
-                for (ThreadMode mode : {ThreadMode::automatic, ThreadMode::pool}) {
-                    blas::GemmConfig cfg;
-                    cfg.threads = mode;
-                    cfg.max_threads = t;
-                    for (const bool zero_c : {false, true}) {
-                        Block<V> c(s.n, s.m, s.pad);
-                        if (zero_c) nan_fill(c);
-                        blas::engine::gemm_accumulate(
-                            blas::engine::access(a.cview()), blas::engine::access(b.cview()),
-                            blas::engine::access(c.view()), cfg, false, zero_c);
-                        expect_same(c, tag + "/threads=" + std::to_string(t) +
-                                           (mode == ThreadMode::pool ? "/pool" : "/auto") +
-                                           (zero_c ? "/zero_c" : ""));
-                    }
+                blas::GemmConfig cfg;
+                cfg.max_threads = t;
+                for (const bool zero_c : {false, true}) {
+                    Block<V> c(s.n, s.m, s.pad);
+                    if (zero_c) nan_fill(c);
+                    blas::engine::gemm_accumulate(
+                        blas::engine::access(a.cview()), blas::engine::access(b.cview()),
+                        blas::engine::access(c.view()), cfg, false, zero_c);
+                    expect_same(c, tag + "/threads=" + std::to_string(t) +
+                                       (zero_c ? "/zero_c" : ""));
                 }
             }
         }
@@ -256,8 +252,7 @@ TEST(GemmPackedAos, AllocFaultDegradesBitIdentically) {
 
 TEST(GemmPackedPlan, RowBlocksThatFillTheWorkersKeepTheIcOnlyPlan) {
     // gemm_large: n = 512 in mc = 128 blocks -> 4 row blocks for 4 workers.
-    const auto plan = blas::engine::plan_partition(4, 85, 128 * 85, 4 * 16 * 96,
-                                                   ThreadMode::automatic, 4);
+    const auto plan = blas::engine::plan_partition(4, 85, 128 * 85, 4 * 16 * 96, 4);
     EXPECT_EQ(plan.col_splits, 1u);
     EXPECT_EQ(plan.workers, 4u);
     EXPECT_EQ(plan.items(), 4u);
@@ -266,16 +261,16 @@ TEST(GemmPackedPlan, RowBlocksThatFillTheWorkersKeepTheIcOnlyPlan) {
 TEST(GemmPackedPlan, FewRowBlocksSplitMicroPanelColumns) {
     using blas::engine::plan_partition;
     // One row block, 14 micro-panels: four column ranges, one per worker.
-    auto plan = plan_partition(1, 14, 56 * 14, 4 * 16 * 32, ThreadMode::automatic, 4);
+    auto plan = plan_partition(1, 14, 56 * 14, 4 * 16 * 32, 4);
     EXPECT_EQ(plan.col_splits, 4u);
     EXPECT_EQ(plan.workers, 4u);
     // Two row blocks (LU n = 224): two ranges each, four balanced items.
-    plan = plan_partition(2, 14, 56 * 14, 4 * 16 * 32, ThreadMode::pool, 4);
+    plan = plan_partition(2, 14, 56 * 14, 4 * 16 * 32, 4);
     EXPECT_EQ(plan.col_splits, 2u);
     EXPECT_EQ(plan.items(), 4u);
     EXPECT_EQ(plan.workers, 4u);
     // Three row blocks: item count a multiple of the workers.
-    plan = plan_partition(3, 14, 84 * 14, 4 * 16 * 32, ThreadMode::automatic, 4);
+    plan = plan_partition(3, 14, 84 * 14, 4 * 16 * 32, 4);
     EXPECT_EQ(plan.items() % plan.workers, 0u);
     EXPECT_EQ(plan.workers, 4u);
 }
@@ -284,38 +279,45 @@ TEST(GemmPackedPlan, NeverForksForLessWorkThanTheForkCosts) {
     using blas::engine::kForkMadds;
     using blas::engine::plan_partition;
     // 32 x 32 x 32: 16 micro-tiles of 2048 madds -> two workers' worth.
-    auto plan = plan_partition(1, 2, 16, 4 * 16 * 32, ThreadMode::automatic, 4);
+    auto plan = plan_partition(1, 2, 16, 4 * 16 * 32, 4);
     EXPECT_EQ(plan.workers, 2u);
     EXPECT_GE(16 / plan.workers * 4 * 16 * 32, kForkMadds);
     // Too little work for a second worker: stays on the caller.
-    plan = plan_partition(1, 1, 2, 4 * 16 * 32, ThreadMode::automatic, 4);
+    plan = plan_partition(1, 1, 2, 4 * 16 * 32, 4);
     EXPECT_EQ(plan.workers, 1u);
     // Column splits never exceed the micro-panels available.
-    plan = plan_partition(1, 2, 1000, 4 * 16 * 512, ThreadMode::automatic, 4);
+    plan = plan_partition(1, 2, 1000, 4 * 16 * 512, 4);
     EXPECT_EQ(plan.col_splits, 2u);
     EXPECT_EQ(plan.workers, 2u);
 }
 
 TEST(GemmPackedPlan, SerialModeAndNestedRegionsUseOneWorker) {
     using blas::engine::plan_partition;
-    EXPECT_EQ(plan_partition(1, 14, 784, 2048, ThreadMode::serial, 4).workers, 1u);
-    EXPECT_EQ(plan_partition(1, 14, 784, 2048, ThreadMode::automatic, 1).workers, 1u);
-#if defined(_OPENMP)
-    unsigned nested = 0;
-#pragma omp parallel num_threads(2)
-    {
-#pragma omp single
-        nested = plan_partition(1, 14, 784, 2048, ThreadMode::automatic, 4).workers;
-    }
-    EXPECT_EQ(nested, 1u);
-#endif
+    EXPECT_EQ(plan_partition(1, 14, 784, 2048, 1).workers, 1u);
+    // Inside a region -- on the team's worker and in the caller's own share
+    // -- every plan is serial. Two concurrent callers run such regions; one
+    // that finds the team busy runs its blocks outside any region, and those
+    // are not counted.
+    std::atomic<int> inside{0}, forking{0};
+    const auto caller = [&] {
+        blas::engine::parallel_blocks_slots(
+            2,
+            [&](std::size_t, unsigned) {
+                if (!blas::engine::in_parallel()) return;
+                ++inside;
+                if (plan_partition(1, 14, 784, 2048, 4).workers != 1) ++forking;
+            },
+            2);
+    };
+    std::thread callers[2] = {std::thread(caller), std::thread(caller)};
+    for (std::thread& t : callers) t.join();
+    EXPECT_GE(inside.load(), 2);
+    EXPECT_EQ(forking.load(), 0);
 }
 
-#if defined(_OPENMP)
-// A plan for fewer workers still forks the runtime's whole team and idles
-// the rest, so the next full region runs on the same threads. Asking for a
-// smaller team instead lets libgomp end the surplus pool threads and create
-// new ones for the next larger region.
+// A plan for fewer workers runs on the first workers of the one team and
+// idles the rest, so the next full region runs on the same threads: no
+// worker is ended and started again between regions of different sizes.
 TEST(GemmPackedPlan, FewerWorkersKeepTheRuntimeTeam) {
     using blas::engine::parallel_blocks_slots;
     const unsigned full = blas::engine::default_threads();
@@ -331,7 +333,7 @@ TEST(GemmPackedPlan, FewerWorkersKeepTheRuntimeTeam) {
                     new_threads.fetch_add(1);
                 }
             },
-            ThreadMode::automatic, workers);
+            workers);
     };
     region(full);
     new_threads = 0;
@@ -341,6 +343,5 @@ TEST(GemmPackedPlan, FewerWorkersKeepTheRuntimeTeam) {
     }
     EXPECT_EQ(new_threads.load(), 0);
 }
-#endif
 
 }  // namespace

@@ -2,10 +2,10 @@
 // mf::check conformance layer): gemm_packed must be bit-identical to the
 // scalar check::reference_gemm no matter how many workers execute it -- it
 // partitions whole output blocks, never a dot product, so no reduction is
-// ever reassociated -- and must serialize itself when called from inside an
-// enclosing parallel region instead of oversubscribing. Every case sweeps
-// all available SIMD backends and both threading substrates (OpenMP and the
-// std::thread fallback pool). The workers claim their items from a shared
+// ever reassociated -- and must serialize itself when called from inside a
+// region or while another caller's region holds the team, instead of
+// nesting or waiting. Every case sweeps all available SIMD backends. The
+// workers claim their items from a shared
 // counter (engine::parallel_items), so the tests below also pin down that
 // each item runs once, whatever the worker count or a failed spawn.
 
@@ -26,20 +26,16 @@ using namespace mf;
 using namespace mf::check;
 
 /// Every record clean (0 mismatches against check::reference_gemm), and
-/// under OpenMP the "nested" record present.
+/// the "nested" and "concurrent" records present.
 void expect_all_clean(const std::vector<DiffRecord>& diffs) {
     ASSERT_FALSE(diffs.empty());
-    bool nested_seen = false;
+    int guards_seen = 0;
     for (const DiffRecord& d : diffs) {
         EXPECT_EQ(d.mismatches, 0u)
             << d.kernel << " " << d.type << " N=" << d.limbs << " [" << d.backend << "]";
-        if (d.backend.rfind("nested", 0) == 0) nested_seen = true;
+        if (d.backend == "nested" || d.backend == "concurrent") ++guards_seen;
     }
-#if defined(_OPENMP)
-    EXPECT_TRUE(nested_seen);
-#else
-    (void)nested_seen;
-#endif
+    EXPECT_EQ(guards_seen, 2);
 }
 
 TEST(GemmThreads, BitIdenticalAcrossThreadCountsDouble2) {
@@ -92,8 +88,7 @@ TEST(GemmPacked, TinyBlocksForceEdgeTiles) {
 
 // Items the workers claim from a shared counter: a shape whose item count
 // is no multiple of the worker count (200 rows at 3 workers: 10 items, and
-// 4 k-blocks of B for the team to pack), at 1-4 workers on both
-// substrates. A skipped or repeated item would show as mismatches.
+// 4 k-blocks of B for the team to pack), at 1-4 workers. A skipped or repeated item would show as mismatches.
 TEST(GemmThreads, ItemCountNotAMultipleOfTheWorkers) {
     expect_all_clean(diff_gemm_packed<double, 2>(37, 200, 300, 136, {1, 2, 3, 4}));
     expect_all_clean(diff_gemm_packed<double, 3>(38, 200, 300, 136, {1, 2, 3, 4}));
@@ -103,46 +98,41 @@ TEST(GemmThreads, ItemCountNotAMultipleOfTheWorkers) {
 // every item sees every setup task's plain writes (slow setup tasks make an
 // early start likely, and a thread-sanitizer build flags a missing
 // hand-over), and slots stay below the planned worker count -- at 1-4
-// workers, under both substrates, and with the first or second pool spawn
-// failing.
+// workers, and with the first or second worker spawn failing.
 TEST(GemmThreads, ParallelItemsRunEachTaskOnceAfterTheSetup) {
-    using blas::engine::ThreadMode;
     constexpr std::size_t nsetup = 3, nitems = 10;
     for (unsigned workers = 1; workers <= 4; ++workers) {
-        for (ThreadMode mode : {ThreadMode::automatic, ThreadMode::pool}) {
-            for (long fault : {-1L, 0L, 1L}) {
-                if (fault >= 0) guard::inject::arm_spawn(fault);
-                std::vector<std::atomic<int>> setups(nsetup), items(nitems);
-                std::vector<int> packed(nsetup, 0);  // written by setup, read by items
-                std::atomic<bool> early{false};
-                std::atomic<unsigned> max_slot{0};
-                blas::engine::parallel_items(
-                    nsetup,
-                    [&](std::size_t t) {
-                        setups[t].fetch_add(1);
-                        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                        packed[t] = 1;
-                    },
-                    nitems,
-                    [&](std::size_t item, unsigned slot) {
-                        for (int v : packed) {
-                            if (v != 1) early = true;
-                        }
-                        items[item].fetch_add(1);
-                        unsigned cur = max_slot.load();
-                        while (slot > cur && !max_slot.compare_exchange_weak(cur, slot)) {
-                        }
-                    },
-                    mode, workers);
-                guard::inject::reset();
-                const std::string where = "workers=" + std::to_string(workers) +
-                                          (mode == ThreadMode::pool ? " pool" : " auto") +
-                                          " fault=" + std::to_string(fault);
-                for (std::size_t t = 0; t < nsetup; ++t) EXPECT_EQ(setups[t].load(), 1) << where;
-                for (std::size_t i = 0; i < nitems; ++i) EXPECT_EQ(items[i].load(), 1) << where;
-                EXPECT_FALSE(early.load()) << where;
-                EXPECT_LT(max_slot.load(), workers) << where;
-            }
+        for (long fault : {-1L, 0L, 1L}) {
+            if (fault >= 0) guard::inject::arm_spawn(fault);
+            std::vector<std::atomic<int>> setups(nsetup), items(nitems);
+            std::vector<int> packed(nsetup, 0);  // written by setup, read by items
+            std::atomic<bool> early{false};
+            std::atomic<unsigned> max_slot{0};
+            blas::engine::parallel_items(
+                nsetup,
+                [&](std::size_t t) {
+                    setups[t].fetch_add(1);
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                    packed[t] = 1;
+                },
+                nitems,
+                [&](std::size_t item, unsigned slot) {
+                    for (int v : packed) {
+                        if (v != 1) early = true;
+                    }
+                    items[item].fetch_add(1);
+                    unsigned cur = max_slot.load();
+                    while (slot > cur && !max_slot.compare_exchange_weak(cur, slot)) {
+                    }
+                },
+                workers);
+            guard::inject::reset();
+            const std::string where =
+                "workers=" + std::to_string(workers) + " fault=" + std::to_string(fault);
+            for (std::size_t t = 0; t < nsetup; ++t) EXPECT_EQ(setups[t].load(), 1) << where;
+            for (std::size_t i = 0; i < nitems; ++i) EXPECT_EQ(items[i].load(), 1) << where;
+            EXPECT_FALSE(early.load()) << where;
+            EXPECT_LT(max_slot.load(), workers) << where;
         }
     }
 }
@@ -158,7 +148,6 @@ TEST(GemmThreads, SpawnFaultKeepsTheProductBitIdentical) {
     const planar::Vector<double, 2> want = reference_gemm_planar(a, b, n, k, m);
     for (long fault : {0L, 1L, 2L}) {
         blas::GemmConfig cfg;
-        cfg.threads = blas::engine::ThreadMode::pool;
         cfg.max_threads = 4;
         planar::Vector<double, 2> c(n * m);
         guard::inject::arm_spawn(fault);

@@ -32,8 +32,7 @@ protected:
 
 TEST_F(GuardDegradeTest, SpawnFaultStillVisitsEveryBlockExactlyOnce) {
     constexpr std::size_t nblocks = 13;
-    const unsigned planned = blas::engine::planned_workers(
-        nblocks, blas::engine::ThreadMode::pool, /*max_threads=*/4);
+    const unsigned planned = blas::engine::planned_workers(nblocks, /*max_threads=*/4);
     // Fail the 0th, 1st, and last spawn in turn; also run fault-free.
     std::vector<long> faults{0, 1, static_cast<long>(planned) - 1, -1};
     for (long nth : faults) {
@@ -49,7 +48,7 @@ TEST_F(GuardDegradeTest, SpawnFaultStillVisitsEveryBlockExactlyOnce) {
                        !max_slot.compare_exchange_weak(cur, slot)) {
                 }
             },
-            blas::engine::ThreadMode::pool, /*max_threads=*/4);
+            /*max_threads=*/4);
         guard::inject::reset();
         for (std::size_t b = 0; b < nblocks; ++b) {
             EXPECT_EQ(visits[b].load(), 1)
@@ -83,7 +82,7 @@ TEST_F(GuardDegradeTest, GemmAllocFaultFallsBackBitIdentically) {
     check::detail::fill_vectors(rng, n * m, cfg, c_seed);
 
     blas::GemmConfig gcfg;
-    gcfg.threads = blas::engine::ThreadMode::serial;
+    gcfg.max_threads = 1;
     gcfg.blocks = blas::BlockShape{8, 8, 16};  // several macro-panels
 
     planar::Vector<double, 2> c_ref = c_seed;

@@ -25,10 +25,6 @@
 #include <thread>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "blas/blas.hpp"
 #include "check/generators.hpp"
 #include "check/robustness.hpp"
@@ -56,6 +52,32 @@ std::uint64_t counters_containing(std::string_view needle) {
         if (c.name.find(needle) != std::string::npos) total += c.value;
     }
     return total;
+}
+
+/// Workers (the calling thread included) of the regions below.
+constexpr unsigned kTeam = 4;
+
+/// Park the team's workers 1..kTeam-1 in rounding mode `mode` with a region
+/// that sets it on every slot but the caller's; they keep it afterwards.
+void park_workers(int mode) {
+    blas::engine::parallel_blocks_slots(
+        kTeam,
+        [mode](std::size_t, unsigned slot) {
+            if (slot != 0) std::fesetround(mode);
+        },
+        kTeam);
+}
+
+/// Workers of a kTeam-worker region that run in round-toward-zero.
+int parked_workers() {
+    std::atomic<int> parked{0};
+    blas::engine::parallel_blocks_slots(
+        kTeam,
+        [&](std::size_t, unsigned slot) {
+            if (slot != 0 && std::fegetround() == FE_TOWARDZERO) ++parked;
+        },
+        kTeam);
+    return parked.load();
 }
 
 /// The perturbations this build can apply, with tags for messages.
@@ -273,18 +295,14 @@ TEST_F(GuardSentinelTest, EnforcedBlasGemmIsBitIdenticalToCleanRun) {
 }
 
 // Under enforce the guarantee covers every engine worker, not just the
-// calling thread: OpenMP keeps its worker threads between regions, and a
-// worker parked in round-toward-zero must not leak into an enforced
-// blas::gemm whose work is split across the team.
+// calling thread: the team keeps its workers between regions, and a worker
+// parked in round-toward-zero must not leak into an enforced blas::gemm
+// whose work is split across the team.
 TEST_F(GuardSentinelTest, EnforcedBlasGemmRepairsParkedWorkerEnv) {
-#if !defined(_OPENMP)
-    GTEST_SKIP() << "needs OpenMP's persistent worker threads";
-#else
     using V = MultiFloat<double, 2>;
     // Fewer row blocks than workers: the engine splits micro-panel columns
     // across the team.
     constexpr std::size_t n = 40, k = 32, m = 160;
-    constexpr int team = 4;
     check::GenConfig cfg;
     std::mt19937_64 rng(13);
     std::vector<V> a(n * k), b(k * m), c_clean(n * m), c_parked(n * m);
@@ -294,12 +312,7 @@ TEST_F(GuardSentinelTest, EnforcedBlasGemmRepairsParkedWorkerEnv) {
         blas::gemm(blas::view(std::as_const(a), n, k), blas::view(std::as_const(b), k, m),
                    blas::view(c, n, m));
     };
-    const auto park_workers = [](int mode) {
-#pragma omp parallel num_threads(team)
-        if (omp_get_thread_num() != 0) std::fesetround(mode);
-    };
-    const int saved_threads = omp_get_max_threads();
-    omp_set_num_threads(team);
+    const unsigned saved_threads = blas::engine::set_default_threads(kTeam);
     guard::FpEnvSaver restore;
     {
         guard::ScopedFpEnv clean;
@@ -307,26 +320,24 @@ TEST_F(GuardSentinelTest, EnforcedBlasGemmRepairsParkedWorkerEnv) {
         run(c_clean);
     }
     park_workers(FE_TOWARDZERO);
-    std::atomic<int> parked{0};
-#pragma omp parallel num_threads(team)
-    if (omp_get_thread_num() != 0 && std::fegetround() == FE_TOWARDZERO) ++parked;
+    const int parked = parked_workers();
     guard::set_policy(guard::Policy::enforce);
     run(c_parked);
     park_workers(FE_TONEAREST);
-    omp_set_num_threads(saved_threads);
-    ASSERT_GT(parked.load(), 0) << "no worker kept the parked rounding mode";
+    blas::engine::set_default_threads(saved_threads);
+    ASSERT_GT(parked, 0) << "no worker kept the parked rounding mode";
     for (std::size_t i = 0; i < n * m; ++i) {
         ASSERT_TRUE(same_bits(c_clean[i], c_parked[i])) << "element " << i;
     }
-#endif
 }
 
-// The std::thread pool substrate honours the same request: workers spawned
-// from a hostile caller inherit its environment unless the engine asks them
-// to install the nominal one.
+// A region's workers honour the same request: workers parked in a hostile
+// environment run their share in it unless the engine asks them to install
+// the nominal one.
 TEST_F(GuardSentinelTest, PoolWorkersInstallNominalEnvOnRequest) {
     guard::FpEnvSaver restore;
     guard::ScopedFpPerturb hostile(Perturb::round_toward_zero);
+    park_workers(FE_TOWARDZERO);
     std::atomic<int> workers{0}, hostile_workers{0};
     blas::engine::parallel_blocks_slots(
         8,
@@ -335,22 +346,22 @@ TEST_F(GuardSentinelTest, PoolWorkersInstallNominalEnvOnRequest) {
             ++workers;
             if (!guard::env_nominal(guard::fp_env_snapshot())) ++hostile_workers;
         },
-        blas::engine::ThreadMode::pool, /*max_threads=*/4, /*nominal_env=*/true);
+        kTeam, /*nominal_env=*/true);
+    const int parked = parked_workers();
+    park_workers(FE_TONEAREST);
     EXPECT_GT(workers.load(), 0);
     EXPECT_EQ(hostile_workers.load(), 0);
-    // The caller's own environment is the sentinel's business, not the pool's.
+    // ScopedFpEnv restores each worker's own environment afterwards.
+    EXPECT_EQ(parked, static_cast<int>(kTeam) - 1);
+    // The caller's own environment is the sentinel's business, not the team's.
     EXPECT_EQ(guard::fp_env_snapshot().rounding, Rounding::toward_zero);
 }
 
 // The same guarantee for the level-2 kernels: a ger large enough to fork
 // hands the sentinel's enforcement to every worker of engine::parallel_for.
 TEST_F(GuardSentinelTest, EnforcedBlasGerRepairsParkedWorkerEnv) {
-#if !defined(_OPENMP)
-    GTEST_SKIP() << "needs OpenMP's persistent worker threads";
-#else
     using V = MultiFloat<double, 2>;
-    constexpr std::size_t n = 96, m = 48;  // 4608 madds: forks at any threshold in use
-    constexpr int team = 4;
+    constexpr std::size_t n = 96, m = 48;  // 4608 madds: above kCallForkMadds
     check::GenConfig cfg;
     std::mt19937_64 rng(17);
     std::vector<V> x(n), y(m), a0(n * m);
@@ -362,12 +373,7 @@ TEST_F(GuardSentinelTest, EnforcedBlasGerRepairsParkedWorkerEnv) {
         blas::ger(V(-1.0), blas::view(std::as_const(x)), blas::view(std::as_const(y)),
                   blas::view(a, n, m));
     };
-    const auto park_workers = [](int mode) {
-#pragma omp parallel num_threads(team)
-        if (omp_get_thread_num() != 0) std::fesetround(mode);
-    };
-    const int saved_threads = omp_get_max_threads();
-    omp_set_num_threads(team);
+    const unsigned saved_threads = blas::engine::set_default_threads(kTeam);
     guard::FpEnvSaver restore;
     {
         guard::ScopedFpEnv clean;
@@ -375,18 +381,15 @@ TEST_F(GuardSentinelTest, EnforcedBlasGerRepairsParkedWorkerEnv) {
         run(a_clean);
     }
     park_workers(FE_TOWARDZERO);
-    std::atomic<int> parked{0};
-#pragma omp parallel num_threads(team)
-    if (omp_get_thread_num() != 0 && std::fegetround() == FE_TOWARDZERO) ++parked;
+    const int parked = parked_workers();
     guard::set_policy(guard::Policy::enforce);
     run(a_parked);
     park_workers(FE_TONEAREST);
-    omp_set_num_threads(saved_threads);
-    ASSERT_GT(parked.load(), 0) << "no worker kept the parked rounding mode";
+    blas::engine::set_default_threads(saved_threads);
+    ASSERT_GT(parked, 0) << "no worker kept the parked rounding mode";
     for (std::size_t i = 0; i < n * m; ++i) {
         ASSERT_TRUE(same_bits(a_clean[i], a_parked[i])) << "element " << i;
     }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -471,12 +474,14 @@ TEST_F(GuardSentinelTest, DazOnlyEnvironmentStillReportsFtzAndDaz) {
 #endif
 }
 
-// A pool worker spawned from a hostile caller inherits its environment; its
-// first sentinel must probe it and report the violation.
+// A team worker in a hostile environment (here parked in it) is not vouched
+// for by its register: its next sentinel must probe it and report the
+// violation.
 TEST_F(GuardSentinelTest, FreshPoolWorkerInHostileEnvIsDetected) {
     guard::set_policy(guard::Policy::warn);
     guard::FpEnvSaver restore;
     guard::ScopedFpPerturb hostile(Perturb::round_toward_zero);
+    park_workers(FE_TOWARDZERO);
     const std::uint64_t before = counters_containing("kind=\"rounding\",when=\"entry\"");
     std::atomic<int> workers{0}, probed{0};
     blas::engine::parallel_blocks_slots(
@@ -488,7 +493,8 @@ TEST_F(GuardSentinelTest, FreshPoolWorkerInHostileEnvIsDetected) {
             { guard::Sentinel s("test.worker"); }
             if (guard::sentinel_probe_runs() > probes) ++probed;
         },
-        blas::engine::ThreadMode::pool, /*max_threads=*/4);
+        kTeam);
+    park_workers(FE_TONEAREST);
     EXPECT_GT(workers.load(), 0);
     EXPECT_EQ(probed.load(), workers.load());
 #if MF_TELEMETRY_ENABLED
@@ -505,8 +511,8 @@ TEST_F(GuardSentinelTest, FaultMatrixKeepsItsCasesAndOutcomes) {
     std::vector<std::string> want = {"env-entry-rz"};
     if (guard::perturb_supported(Perturb::ftz)) want.push_back("env-entry-ftz");
     if (guard::perturb_supported(Perturb::daz)) want.push_back("env-entry-daz");
-    for (const char* name : {"env-mid-rz", "alloc[0]-serial", "alloc[0]-pool",
-                             "thread[0]-pool", "thread[1]-pool"}) {
+    for (const char* name : {"env-mid-rz", "alloc[0]-serial", "alloc[0]-team",
+                             "thread[0]-team", "thread[1]-team"}) {
         want.emplace_back(name);
     }
     const std::vector<check::FaultCase> cases = check::run_fault_matrix();
