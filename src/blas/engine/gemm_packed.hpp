@@ -107,9 +107,9 @@ template <std::floating_point T, int N>
 namespace detail {
 
 /// Sequential unpacked fallback over layout accessors: after zeroing C when
-/// `zero_c`, row i of C takes one kernels::axpy per kk, c_i += a_ik b_k --
-/// the kk-ascending add(mul(a_ik, b_kj), c_ij) of every element, ending on
-/// one partial pack. Bit-identical to the packed loop nest for every layout
+/// `zero_c`, C takes one kernels::ger per kk, c_ij += a_ik b_kj -- the
+/// kk-ascending add(mul(a_ik, b_kj), c_ij) of every element, ending on one
+/// partial pack. Bit-identical to the packed loop nest for every layout
 /// and pack width -- which is why gemm_accumulate may switch to this path
 /// when panel scratch cannot be allocated without changing a single result
 /// bit.
@@ -122,10 +122,8 @@ void gemm_unpacked(const AAccess& a, const BAccess& b, const CAccess& c, bool ze
         }
     }
     simd::with_active_width<T>([&](auto w) {
-        for (std::size_t i = 0; i < c.rows; ++i) {
-            for (std::size_t kk = 0; kk < a.cols; ++kk) {
-                simd::kernels::axpy<w()>(a.row(i).get(kk), b.row(kk), c.row(i), c.cols);
-            }
+        for (std::size_t kk = 0; kk < a.cols; ++kk) {
+            simd::kernels::ger<w()>(simd::kernels::column(a, kk), b.row(kk), c, c.rows, c.cols);
         }
     });
 }

@@ -34,9 +34,9 @@
 // read -- the same updates reference_gemm applies to its zero start.
 //
 // Edge tiles (rows < mr from the last row block, cols < nr from the last
-// column block) drop to a per-row kernels::axpy sweep over the packed panels --
-// a different loop shape but, per element, the same kk-ascending updates, so
-// identity holds at the edges too.
+// column block) drop to one kernels::ger rank-1 update per kk over the packed
+// panels -- a different loop shape but, per element, the same kk-ascending
+// updates, so identity holds at the edges too.
 
 #include <cstddef>
 
@@ -121,11 +121,11 @@ struct MicroKernel {
 
     /// Partial tile (rows <= MR, cols <= NR, at least one of them short):
     /// the C tile (zeros when `fresh`) is staged in a planar scratch tile,
-    /// swept row by row with kk-ascending planar axpys over the packed
-    /// panels, and written back -- same per-element update sequence,
-    /// memory-accumulated, any layout. The sweeps count their elements in
-    /// the planar axpy's series, mf_simd_kernel_ops_total{kernel="fma_range"},
-    /// once per tile.
+    /// takes one kernels::ger per kk, kk ascending (column kk of the packed
+    /// A block times row kk of the packed B panel), and is written back --
+    /// same per-element update sequence, memory-accumulated, any layout.
+    /// The updates count their elements in the planar axpy's series,
+    /// mf_simd_kernel_ops_total{kernel="fma_range"}, once per tile.
     template <typename CAccess>
     static void edge(const T* const (&ap)[N], std::size_t lda,
                      const T* const (&bp)[N], std::size_t ldb, const CAccess& c,
@@ -141,12 +141,11 @@ struct MicroKernel {
                 stage.set(r * NR + j, fresh ? MultiFloat<T, N>{} : crow.get(j));
             }
         }
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t kk = 0; kk < kc; ++kk) {
-                MultiFloat<T, N> a_s;
-                for (int p = 0; p < N; ++p) a_s.limb[p] = ap[p][r * lda + kk];
-                simd::kernels::axpy<W>(a_s, simd::planar(bp) + kk * ldb, stage + r * NR, cols);
-            }
+        const simd::Matrix<simd::Planar<const T, N>> apm{simd::planar(ap), rows, kc, lda};
+        const simd::Matrix<simd::Planar<T, N>> tilem{stage, rows, cols, NR};
+        for (std::size_t kk = 0; kk < kc; ++kk) {
+            simd::kernels::ger<W>(simd::kernels::column(apm, kk), simd::planar(bp) + kk * ldb,
+                                  tilem, rows, cols);
         }
         for (std::size_t r = 0; r < rows; ++r) {
             const auto crow = c.row(i0 + r) + j0;

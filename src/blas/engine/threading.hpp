@@ -379,10 +379,15 @@ void parallel_items(std::size_t nsetup, S&& setup, std::size_t nitems, F&& fn,
 }
 
 /// Multiply-adds a level-1/2 blas:: call (axpy, dot, gemv, scal, ger, the
-/// generic gemm) must carry before parallel_for forks: a Float64x2 AoS row
-/// runs at about 1.7 ns per madd, so a 4-worker split pays at about 2048
-/// (EXPERIMENTS.md, "AoS kernels at planar speed", has the lu_solve sweep).
-inline constexpr std::size_t kCallForkMadds = 2048;
+/// generic gemm) must carry before parallel_for forks. A 4-worker region
+/// costs 0.6-0.9 us and the rank-1 kernel 0.9-1.4 ns per Float64x2 madd, so
+/// an isolated ger gains from about 2-3k madds on; but a fork also moves the
+/// rows it writes into other cores' caches, where the caller's next scalar
+/// pass (an LU's column gather and row swap) must fetch them. 8192 keeps
+/// every level-2 call of a 256-wide LU on the caller (its largest, a 255 x 31
+/// panel ger, is 7905) and still forks a 255 x 64 one (EXPERIMENTS.md, "One
+/// rank-1 kernel", has the lu_solve sweep).
+inline constexpr std::size_t kCallForkMadds = 8192;
 
 /// Run body(lo, hi) over a partition of [0, n) into contiguous ranges: as
 /// body(0, n) on the calling thread when `madds` < kCallForkMadds (a plain

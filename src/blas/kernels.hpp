@@ -251,18 +251,19 @@ void ger(const V& alpha, ConstVectorView<V> x, ConstVectorView<V> y,
     const std::size_t n = x.size;
     const std::size_t m = y.size;
     if constexpr (detail::is_multifloat_v<V>) {
-        // One backend resolve and one element count for the whole update;
-        // each row is then a bare width-templated axpy.
+        // One backend resolve and one element count for the whole update
+        // (in the AoS axpy's series: each row gets axpy(alpha x[i], y)'s
+        // bits); each range of rows is then one bare rank-1 kernel.
         MF_TELEM_COUNT_N("mf_simd_kernel_ops_total{kernel=\"axpy_aos\"}", n * m);
+        const auto am = engine::access(a);
         simd::with_active_width<typename V::value_type>([&](auto w) {
-            constexpr int W = decltype(w)::value;
             engine::parallel_for(
                 n, n * m,
                 [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        simd::kernels::axpy<W>(alpha * x[i], simd::aos(y.data),
-                                               simd::aos(a.row(i)), m);
-                    }
+                    simd::kernels::ger<w()>(
+                        simd::kernels::scaled(alpha, simd::aos(x.data + lo)),
+                        simd::aos(y.data), decltype(am){am.row(lo), hi - lo, m, am.stride},
+                        hi - lo, m);
                 },
                 sentinel.enforced());
         });

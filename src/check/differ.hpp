@@ -8,7 +8,9 @@
 // Three surfaces are diffed:
 //   * the elementwise kernels (add, and axpy on planar and on AoS operands:
 //     records add_range, fma_range, axpy_aos) dispatched per runtime backend
-//     vs. the width-1 planar kernel;
+//     vs. the width-1 planar kernel, and the rank-1 kernel kernels::ger on
+//     AoS rows (record ger_aos) at each backend's width vs. its width-1
+//     instantiation;
 //   * the dot reduction on both layouts (dot, dot_aos), which additionally
 //     pins the historical eight-accumulator merge order for widths <= 8;
 //   * gemm_packed (the blas/engine packed cache-blocked GEMM) vs. the scalar
@@ -37,8 +39,8 @@ namespace mf::check {
 
 /// One diffed (kernel, backend/schedule) combination.
 struct DiffRecord {
-    std::string kernel;   ///< "add_range" | "fma_range" | "axpy_aos" | "dot" |
-                          ///< "dot_aos" | "gemm_packed"
+    std::string kernel;   ///< "add_range" | "fma_range" | "axpy_aos" | "ger_aos" |
+                          ///< "dot" | "dot_aos" | "gemm_packed"
     std::string type;     ///< "double" | "float"
     int limbs = 0;
     std::string backend;  ///< backend name; gemm adds "/threads=K", or is
@@ -132,6 +134,7 @@ template <std::floating_point T, int N>
         DiffRecord add_rec = record("add_range");
         DiffRecord fma_rec = record("fma_range");
         DiffRecord axpy_aos_rec = record("axpy_aos");
+        DiffRecord ger_aos_rec = record("ger_aos");
         DiffRecord dot_rec = record("dot");
         DiffRecord dot_aos_rec = record("dot_aos");
         // The eight-accumulator merge order is pinned for widths <= 8;
@@ -186,6 +189,32 @@ template <std::floating_point T, int N>
                 ++dot_aos_rec.mismatches;
             }
 
+            // ger_aos: rows 2R+1 (two row blocks and a partial one) by len,
+            // its matrix drawn from a generator of its own, so the records
+            // above see the corpus they always saw.
+            {
+                constexpr std::size_t rows = 2 * simd::kernels::kGerRows + 1;
+                std::mt19937_64 grng(seed + 0x9e3779b97f4a7c15ull * (r + 1));
+                planar::Vector<T, N> a0;
+                detail::fill_vectors(grng, rows * len, cfg, a0);
+                std::vector<MultiFloat<T, N>> a_ref(rows * len), a_got;
+                for (std::size_t i = 0; i < a_ref.size(); ++i) a_ref[i] = a0.get(i);
+                a_got = a_ref;
+                const auto mult = simd::kernels::scaled(alpha, simd::aos(std::as_const(xa).data()));
+                const auto yr = simd::aos(std::as_const(ya).data());
+                using M = simd::Matrix<simd::Aos<T, N>>;
+                simd::kernels::ger<1>(mult, yr, M{simd::aos(a_ref.data()), rows, len, len}, rows,
+                                      len);
+                simd::with_active_width<T>([&](auto w) {
+                    simd::kernels::ger<w()>(mult, yr, M{simd::aos(a_got.data()), rows, len, len},
+                                            rows, len);
+                });
+                ger_aos_rec.elements += rows * len;
+                ger_aos_rec.mismatches += detail::count_mismatches(
+                    simd::aos(std::as_const(a_ref).data()), simd::aos(std::as_const(a_got).data()),
+                    rows * len);
+            }
+
             simd::axpy(alpha, simd::aos(xa.data()), simd::aos(ya.data()), len);
             axpy_aos_rec.elements += len;
             axpy_aos_rec.mismatches += detail::count_mismatches(
@@ -194,6 +223,7 @@ template <std::floating_point T, int N>
         out.push_back(std::move(add_rec));
         out.push_back(std::move(fma_rec));
         out.push_back(std::move(axpy_aos_rec));
+        out.push_back(std::move(ger_aos_rec));
         out.push_back(std::move(dot_rec));
         out.push_back(std::move(dot_aos_rec));
     }

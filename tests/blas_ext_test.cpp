@@ -244,40 +244,52 @@ TEST(BlasExt, IamaxMergesLaneChunksInOrder) {
     expect_iamax_merges_chunks_in_order<float, 2>(49);
 }
 
-// Every row width 1..2W+1 (the full packs, the masked last pack, both), on
-// every backend: a(i, j) = add(mul(mul(alpha, x[i]), y[j]), a(i, j)) bit
-// for bit, and the sentinel columns either side of each row untouched.
-TEST(BlasExt, GerRowsMatchTheRowFormulaOnEveryBackend) {
-    using V = MultiFloat<double, 2>;
-    const V sentinel(std::numeric_limits<double>::quiet_NaN());
-    std::mt19937_64 rng(43);
-    for_each_backend([&](std::size_t w, const std::string& tag) {
-        for (std::size_t m = 1; m <= 2 * w + 1; ++m) {
-            constexpr std::size_t n = 5;
-            const std::size_t stride = m + 2;
-            const auto x = vec<2>(rng, n);
-            const auto y = vec<2>(rng, m);
-            const V alpha = adversarial<double, 2>(rng, -2, 2);
-            std::vector<V> a(n * stride, sentinel);
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::size_t j = 0; j < m; ++j) {
-                    a[i * stride + 1 + j] = adversarial<double, 2>(rng, -6, 6);
+/// ger on every backend, rows 1..2R+1 (R = kernels::kGerRows, the kernel's
+/// row block: one block, two, a partial one) by columns 1..2W+1: every
+/// element is add(mul(mul(alpha, x[i]), y[j]), a[i][j]) bit for bit, and the
+/// sentinels either side of each row stay.
+template <typename T, int N>
+void expect_ger_matches_row_formula(std::uint64_t seed) {
+    using V = MultiFloat<T, N>;
+    constexpr std::size_t rows_max = 2 * simd::kernels::kGerRows + 1;
+    const V sentinel(std::numeric_limits<T>::quiet_NaN());
+    std::mt19937_64 rng(seed);
+    for_each_backend<T>([&](std::size_t w, const std::string& tag) {
+        for (std::size_t n = 1; n <= rows_max; ++n) {
+            for (std::size_t m = 1; m <= 2 * w + 1; ++m) {
+                const std::size_t stride = m + 2;
+                const auto x = vec<N, T>(rng, n);
+                const auto y = vec<N, T>(rng, m);
+                const V alpha = adversarial<T, N>(rng, -2, 2);
+                std::vector<V> a(n * stride, sentinel);
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t j = 0; j < m; ++j) {
+                        a[i * stride + 1 + j] = adversarial<T, N>(rng, -6, 6);
+                    }
                 }
-            }
-            const auto a0 = a;
-            ger<V>(alpha, view(x), view(y), blas::MatrixView<V>(a.data() + 1, n, m, stride));
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::size_t c = 0; c < stride; ++c) {
-                    const std::size_t at = i * stride + c;
-                    const bool inside = c >= 1 && c <= m;
-                    const V want = inside ? add(mul(mul(alpha, x[i]), y[c - 1]), a0[at]) : a0[at];
-                    ASSERT_TRUE(same_bits(a[at], want))
-                        << tag << " m=" << m << " row " << i << " col " << c
-                        << (inside ? "" : " (sentinel)");
+                const auto a0 = a;
+                ger<V>(alpha, view(x), view(y), blas::MatrixView<V>(a.data() + 1, n, m, stride));
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t c = 0; c < stride; ++c) {
+                        const std::size_t at = i * stride + c;
+                        const bool inside = c >= 1 && c <= m;
+                        const V want =
+                            inside ? add(mul(mul(alpha, x[i]), y[c - 1]), a0[at]) : a0[at];
+                        ASSERT_TRUE(same_bits(a[at], want))
+                            << tag << " N=" << N << " rows=" << n << " cols=" << m << " row "
+                            << i << " col " << c << (inside ? "" : " (sentinel)");
+                    }
                 }
             }
         }
     });
+}
+
+TEST(BlasExt, GerRowsMatchTheRowFormulaOnEveryBackend) {
+    expect_ger_matches_row_formula<double, 2>(43);
+    expect_ger_matches_row_formula<double, 3>(45);
+    expect_ger_matches_row_formula<double, 4>(46);
+    expect_ger_matches_row_formula<float, 2>(47);
 }
 
 // Lengths 0..2W+1 on every backend: x[i] becomes mul(x[i], alpha) bit for

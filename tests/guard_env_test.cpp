@@ -361,7 +361,8 @@ TEST_F(GuardSentinelTest, PoolWorkersInstallNominalEnvOnRequest) {
 // hands the sentinel's enforcement to every worker of engine::parallel_for.
 TEST_F(GuardSentinelTest, EnforcedBlasGerRepairsParkedWorkerEnv) {
     using V = MultiFloat<double, 2>;
-    constexpr std::size_t n = 96, m = 48;  // 4608 madds: above kCallForkMadds
+    constexpr std::size_t n = 192, m = 48;
+    static_assert(n * m >= blas::engine::kCallForkMadds, "the ger must fork");
     check::GenConfig cfg;
     std::mt19937_64 rng(17);
     std::vector<V> x(n), y(m), a0(n * m);

@@ -270,7 +270,9 @@ TEST(TelemetryWiring, GerCountsEveryElementAndOneDispatch) {
     GTEST_SKIP() << "telemetry instrumentation compiled out";
 #else
     using V = mf::MultiFloat<double, 2>;
-    for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{37, 7}, {255, 31}}) {
+    // 255 x 64 is above engine::kCallForkMadds and forks; the others do not.
+    for (const auto& [n, m] :
+         {std::pair<std::size_t, std::size_t>{37, 7}, {255, 31}, {255, 64}}) {
         std::vector<V> x(n, V(1.5)), y(m, V(-0.25)), a(n * m, V(2.0));
         reg().reset();
         mf::blas::ger<V>(V(3.0), mf::blas::view(x), mf::blas::view(y),
