@@ -7,7 +7,8 @@
 // section times the blocked LU's trailing updates, n x 32 times 32 x n
 // ("lu_update" records, both entries). Every GEMM record carries a
 // ceiling_ns: the port-bound time per madd, madd_flops(N) vector FP ops
-// over the rate a many-chain vector add loop reaches, per worker. Then a line
+// (a TwoSum counted as the instructions the backend issues for it) over the
+// rate a many-chain vector add loop reaches, per worker. Then a line
 // prints the engine's fork/join cost, and a last section times small
 // blas::axpy / blas::dot calls and the LU panel's blas::ger / blas::iamax
 // calls and the U12 solve's blas::ger against their raw SIMD kernels (the
@@ -96,9 +97,15 @@ double vector_op_rate(double min_time) {
 }
 
 /// Port-bound ns per madd of an N-limb GEMM on `threads` workers, each
-/// retiring `rate` vector ops per second of `width` lanes.
-double ceiling_ns(int limbs, int width, double rate, int threads) {
-    return fpan::madd_flops(limbs) / (static_cast<double>(width) * rate * threads) * 1e9;
+/// retiring `rate` vector ops per second on the active backend's T packs:
+/// madd_flops(N) with a TwoSum counted as the instructions it issues there
+/// (5 on AVX-512DQ packs, 6 elsewhere), so the ceiling stays a floor.
+template <FloatingPoint T>
+double ceiling_ns(int limbs, double rate, int threads) {
+    return simd::with_active_width<T>([&](auto w) {
+        constexpr int two_sum_ops = OrderedTwoSum<simd::Pack<T, w()>> ? 5 : 6;
+        return fpan::madd_flops(limbs, two_sum_ops) / (w() * rate * threads) * 1e9;
+    });
 }
 
 void report(bench::JsonReport& out, const char* kernel, const char* type,
@@ -152,7 +159,7 @@ void run_packed(bench::JsonReport& out, const char* type_name, std::size_t dim,
             min_time);
         const int threads = static_cast<int>(t);
         report(out, cube ? "gemm_packed" : "lu_update", type_name, N, width, tp, ops, n,
-               threads, ceiling_ns(N, width, rate, threads), cube ? "" : "gemm_packed",
+               threads, ceiling_ns<T>(N, rate, threads), cube ? "" : "gemm_packed",
                cube ? 0 : k);
         if (t == 1) {
             t1 = tp;
@@ -194,7 +201,7 @@ void run_blas_gemm(bench::JsonReport& out, std::size_t dim, std::size_t kdim,
             min_time);
         blas::engine::set_default_threads(saved);
         report(out, cube ? "blas_gemm" : "lu_update", "double", 2, width, secs, ops, n, t,
-               ceiling_ns(2, width, rate, t), cube ? "" : "blas_gemm", cube ? 0 : k);
+               ceiling_ns<double>(2, rate, t), cube ? "" : "blas_gemm", cube ? 0 : k);
     }
 }
 

@@ -1,9 +1,12 @@
 #include "checker.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <random>
 #include <span>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "../bigfloat/bigfloat.hpp"
@@ -288,65 +291,97 @@ void record_soft_case(CheckResult& res, std::span<const SoftFloat> z,
 
 }  // namespace
 
-CheckResult check_add_exhaustive(const Network& net, int n, int p, int y_exp_range,
-                                 int tail_depth) {
-    CheckResult res;
-    const int bound_bits = paper_add_bound_bits(n, p);
+namespace {
+
+/// Run the exhaustive campaign over every (x, y) expansion pair: `load(x, y,
+/// wires)` lays the pair out on the wires and returns the exact result. The
+/// outer x loop is split over the host's CPUs, one x at a time, and the per-x
+/// results are merged in x order, so the verdict, `cases` and note are the
+/// serial loop's: the reported failure is the lowest case index.
+template <typename Load>
+CheckResult run_exhaustive(const Network& net, int n, int p, int y_exp_range, int tail_depth,
+                           int bound_bits, const Load& load) {
     std::vector<std::vector<SoftFloat>> xs;
     std::vector<std::vector<SoftFloat>> ys;
     // Scale invariance: pin x's leading exponent to 0.
     enumerate_expansions(n, p, 0, 0, tail_depth, xs);
     enumerate_expansions(n, p, -y_exp_range, y_exp_range, tail_depth, ys);
-    std::vector<SoftFloat> wires(static_cast<std::size_t>(net.num_wires), SoftFloat(p));
-    std::vector<SoftFloat> z(static_cast<std::size_t>(n), SoftFloat(p));
-    for (const auto& x : xs) {
-        for (const auto& y : ys) {
-            for (int i = 0; i < n; ++i) {
-                wires[static_cast<std::size_t>(2 * i)] = x[static_cast<std::size_t>(i)];
-                wires[static_cast<std::size_t>(2 * i + 1)] = y[static_cast<std::size_t>(i)];
+
+    std::vector<CheckResult> per_x(xs.size());
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> first_fail{xs.size()};
+    const auto worker = [&] {
+        std::vector<SoftFloat> wires(static_cast<std::size_t>(net.num_wires), SoftFloat(p));
+        std::vector<SoftFloat> z(static_cast<std::size_t>(n), SoftFloat(p));
+        for (std::size_t i = next++; i < xs.size() && i < first_fail.load(); i = next++) {
+            CheckResult& res = per_x[i];
+            for (const auto& y : ys) {
+                const SoftFloat exact = load(xs[i], y, wires);
+                execute(net, std::span<SoftFloat>(wires));
+                for (std::size_t k = 0; k < net.outputs.size(); ++k) {
+                    z[k] = wires[static_cast<std::size_t>(net.outputs[k])];
+                }
+                record_soft_case(res, z, exact, p, bound_bits);
+                if (!res.pass) break;
             }
-            SoftFloat exact = exact_sum_soft(x);
-            exact = exact + exact_sum_soft(y);
-            execute(net, std::span<SoftFloat>(wires));
-            for (std::size_t k = 0; k < net.outputs.size(); ++k) {
-                z[k] = wires[static_cast<std::size_t>(net.outputs[k])];
-            }
-            record_soft_case(res, z, exact, p, bound_bits);
             if (!res.pass) {
-                std::ostringstream os;
-                os << "first failure: x/y expansion case #" << res.cases;
-                res.note = os.str();
-                return res;
+                std::size_t seen = first_fail.load();
+                while (i < seen && !first_fail.compare_exchange_weak(seen, i)) {
+                }
             }
+        }
+    };
+    const std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t threads = std::min(cpus, xs.size());
+    std::vector<std::jthread> team;
+    for (std::size_t t = 1; t < threads; ++t) team.emplace_back(worker);
+    worker();
+    team.clear();
+
+    // Every x below the lowest failing one was run to the end.
+    CheckResult res;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const CheckResult& r = per_x[i];
+        res.cases += r.cases;
+        res.worst_err_log2 = std::max(res.worst_err_log2, r.worst_err_log2);
+        res.worst_overlap_bits = std::max(res.worst_overlap_bits, r.worst_overlap_bits);
+        if (!r.pass) {
+            res.pass = false;
+            std::ostringstream os;
+            os << "first failure: x/y expansion case #" << res.cases;
+            res.note = os.str();
+            break;
         }
     }
     return res;
 }
 
+}  // namespace
+
+CheckResult check_add_exhaustive(const Network& net, int n, int p, int y_exp_range,
+                                 int tail_depth) {
+    return run_exhaustive(
+        net, n, p, y_exp_range, tail_depth, paper_add_bound_bits(n, p),
+        [n](const std::vector<SoftFloat>& x, const std::vector<SoftFloat>& y,
+            std::vector<SoftFloat>& wires) {
+            for (int i = 0; i < n; ++i) {
+                wires[static_cast<std::size_t>(2 * i)] = x[static_cast<std::size_t>(i)];
+                wires[static_cast<std::size_t>(2 * i + 1)] = y[static_cast<std::size_t>(i)];
+            }
+            return exact_sum_soft(x) + exact_sum_soft(y);
+        });
+}
+
 CheckResult check_mul_exhaustive(const Network& net, int n, int p, int y_exp_range,
                                  int tail_depth) {
-    CheckResult res;
-    const int bound_bits = paper_mul_bound_bits(n, p);
     const auto labels = mul_network_labels(n);
-    std::vector<std::vector<SoftFloat>> xs;
-    std::vector<std::vector<SoftFloat>> ys;
-    enumerate_expansions(n, p, 0, 0, tail_depth, xs);
-    enumerate_expansions(n, p, -y_exp_range, y_exp_range, tail_depth, ys);
-    std::vector<SoftFloat> wires(static_cast<std::size_t>(net.num_wires), SoftFloat(p));
-    std::vector<SoftFloat> z(static_cast<std::size_t>(n), SoftFloat(p));
-    for (const auto& x : xs) {
-        for (const auto& y : ys) {
+    return run_exhaustive(
+        net, n, p, y_exp_range, tail_depth, paper_mul_bound_bits(n, p),
+        [&labels](const std::vector<SoftFloat>& x, const std::vector<SoftFloat>& y,
+                  std::vector<SoftFloat>& wires) {
             expand_mul_wires(labels, x, y, wires);
-            SoftFloat exact = exact_sum_soft(x) * exact_sum_soft(y);
-            execute(net, std::span<SoftFloat>(wires));
-            for (std::size_t k = 0; k < net.outputs.size(); ++k) {
-                z[k] = wires[static_cast<std::size_t>(net.outputs[k])];
-            }
-            record_soft_case(res, z, exact, p, bound_bits);
-            if (!res.pass) return res;
-        }
-    }
-    return res;
+            return exact_sum_soft(x) * exact_sum_soft(y);
+        });
 }
 
 }  // namespace mf::fpan

@@ -76,11 +76,12 @@ struct Table {
         std::array<int, W> d{};
         return chain_depth(gates, d);
     }
-    /// Native flops: TwoSum 6, FastTwoSum 3, Add 1 (eft.hpp).
-    [[nodiscard]] constexpr int flops() const noexcept {
+    /// Native flops: TwoSum `two_sum_ops` (6 in Knuth's form, 5 as the
+    /// ordered FastTwoSum of AVX-512DQ packs), FastTwoSum 3, Add 1 (eft.hpp).
+    [[nodiscard]] constexpr int flops(int two_sum_ops = 6) const noexcept {
         int f = 0;
         for (const Gate& g : gates) {
-            f += g.kind == GateKind::TwoSum ? 6 : g.kind == GateKind::Add ? 1 : 3;
+            f += g.kind == GateKind::TwoSum ? two_sum_ops : g.kind == GateKind::Add ? 1 : 3;
         }
         return f;
     }
@@ -112,6 +113,8 @@ MF_ALWAYS_INLINE constexpr void run(V (&w)[Table.num_wires]) noexcept {
 /// exhaustive small-p checker finds rare 1-bit nonoverlap violations for
 /// n = 3 (invisible to 400k randomized double-precision trials), while one
 /// pass survives 37M+ exhaustive cases; see tests/fpan_verify_test.cpp.
+/// add4, mul4 and the scalar tables ship a sweep; add3 and mul3 ship the
+/// smaller tables greedy_trim cut from one, checked over the same windows.
 template <std::size_t W, int N, int RENORMS, std::size_t H, std::size_t K>
 constexpr auto sweep(const std::array<Gate, H>& head, const std::array<int, K>& perm) noexcept {
     constexpr int k = static_cast<int>(K);
@@ -186,6 +189,31 @@ constexpr auto make_add_table() noexcept {
                                   {FastTwoSum, 0, 3},  // (z0, z1) = FastTwoSum(v0, w)
                               }},
                               {0, 3}};
+    } else if constexpr (N == 3) {
+        // Figure 3's size 14 plus two gates: the sweep_add_table<3>() network
+        // trimmed by fpan::greedy_trim with the p = 3 (2,2) exhaustive window
+        // in the loop. Size 16, depth 8; the pairing layer comes first, so
+        // add(x, y) and add(y, x) give the same bits. The 14-gate trim of a
+        // narrower window fails the (2,2) one (tests/fpan_verify_test.cpp).
+        return Table<6, 16, 3>{{{
+                                   {TwoSum, 0, 1},      // (s0, e0) = TwoSum(x0, y0)
+                                   {TwoSum, 2, 3},      // (s1, e1) = TwoSum(x1, y1)
+                                   {TwoSum, 4, 5},      // (s2, e2) = TwoSum(x2, y2)
+                                   {TwoSum, 4, 3},
+                                   {FastTwoSum, 1, 4},
+                                   {TwoSum, 2, 1},
+                                   {FastTwoSum, 0, 2},
+                                   {FastTwoSum, 3, 5},
+                                   {FastTwoSum, 4, 3},
+                                   {FastTwoSum, 1, 4},
+                                   {FastTwoSum, 2, 1},
+                                   {Add, 3, 5},
+                                   {Add, 4, 3},
+                                   {Add, 1, 4},
+                                   {FastTwoSum, 0, 2},  // renormalize z0 | z1 | z2
+                                   {FastTwoSum, 2, 1},
+                               }},
+                               {0, 2, 1}};
     } else {
         return sweep_add_table<N>();
     }
@@ -224,18 +252,22 @@ constexpr auto make_mul_table() noexcept {
                               }},
                               {0, 2}};
     } else if constexpr (N == 3) {
-        // Wires p00 e00 p01 p10 e01 e10 p02 p20 p11.
-        constexpr std::array<Gate, 8> head{{
-            {TwoSum, 2, 3},  // (t1, u1) = TwoSum(p01, p10)
-            {Add, 4, 5},     // f1 = e01 + e10
-            {Add, 6, 7},     // g1 = p02 + p20
-            {TwoSum, 2, 1},  // (w1, c1) = TwoSum(t1, e00)
-            {Add, 3, 4},     // h = u1 + f1
-            {Add, 3, 6},     // h += g1
-            {Add, 3, 8},     // h += p11
-            {Add, 3, 1},     // h += c1
-        }};
-        return sweep<9, 3, 1>(head, std::array<int, 3>{0, 2, 3});
+        // Wires p00 e00 p01 p10 e01 e10 p02 p20 p11. The commutative head,
+        // then one FastTwoSum pass over the outputs: fpan::greedy_trim's cut
+        // of the head's 5-gate sweep<9, 3, 1> tail. Size 10, depth 6.
+        return Table<9, 10, 3>{{{
+                                   {TwoSum, 2, 3},      // (t1, u1) = TwoSum(p01, p10)
+                                   {Add, 4, 5},         // f1 = e01 + e10
+                                   {Add, 6, 7},         // g1 = p02 + p20
+                                   {TwoSum, 2, 1},      // (w1, c1) = TwoSum(t1, e00)
+                                   {Add, 3, 4},         // h = u1 + f1
+                                   {Add, 3, 6},         // h += g1
+                                   {Add, 3, 8},         // h += p11
+                                   {Add, 3, 1},         // h += c1
+                                   {FastTwoSum, 0, 2},  // (z0, r) = FastTwoSum(p00, w1)
+                                   {FastTwoSum, 2, 3},  // (z1, z2) = FastTwoSum(r, h)
+                               }},
+                               {0, 2, 3}};
     } else {
         static_assert(N == 4, "mul: expansion lengths 1-4 are supported");
         // Wires p00 e00 p01 p10 e01 e10 p02 p20 e02 e20 p11 e11 p03 p30 p12 p21.
@@ -283,16 +315,17 @@ inline constexpr auto mul_scalar_table = sweep_table<2 * N - 1, N>();
 /// which spends one flop per input wire (a plain product, or the fma of a
 /// TwoProd whose product sits on another wire). Scales ns/op into a
 /// native-FLOP-equivalent throughput; n = 1 is one native multiply and add.
-constexpr int madd_flops(int n) noexcept {
-    const auto of = [](const auto& add, const auto& mul) {
-        return add.flops() + mul.flops() + static_cast<int>(mul.num_wires);
+/// `two_sum_ops` counts a TwoSum's instructions (Table::flops).
+constexpr int madd_flops(int n, int two_sum_ops = 6) noexcept {
+    const auto of = [two_sum_ops](const auto& add, const auto& mul) {
+        return add.flops(two_sum_ops) + mul.flops(two_sum_ops) + static_cast<int>(mul.num_wires);
     };
     return n == 2 ? of(add_table<2>, mul_table<2>)
          : n == 3 ? of(add_table<3>, mul_table<3>)
          : n == 4 ? of(add_table<4>, mul_table<4>)
                   : 2;
 }
-static_assert(madd_flops(2) == 29 && madd_flops(3) == 150 && madd_flops(4) == 289,
+static_assert(madd_flops(2) == 29 && madd_flops(3) == 90 && madd_flops(4) == 289,
               "the GFLOP-equiv/s columns of BENCH_*.json assume these counts");
 
 }  // namespace mf::fpan

@@ -83,6 +83,11 @@ struct ProdErr {
     T err;
 };
 
+/// Whether two_sum runs as the ordered FastTwoSum on T (see the header):
+/// five instructions in place of Knuth's six.
+template <typename T>
+concept OrderedTwoSum = requires(T a, T b) { order_by_magnitude(a, b); };
+
 /// TwoSum (Algorithm 1): 6-flop error-free addition, valid for all finite
 /// inputs regardless of their relative magnitudes (as an ordered FastTwoSum
 /// where T defines order_by_magnitude; see the header).
@@ -96,7 +101,7 @@ struct ProdErr {
 template <FloatingPoint T>
 [[nodiscard]] MF_ALWAYS_INLINE constexpr SumErr<T> two_sum(T a, T b) noexcept {
     T s = a + b;
-    if constexpr (requires { order_by_magnitude(a, b); }) {
+    if constexpr (OrderedTwoSum<T>) {
         if (!std::is_constant_evaluated()) {
             const auto [hi, lo] = order_by_magnitude(a, b);
             return {s, lo + (hi - s)};

@@ -20,8 +20,10 @@
 // The expansion step below is the only code here: it lays the terms out on
 // the wires of fpan::mul_table<N> (fpan/gates.hpp, the object the checker
 // verifies). N = 2 is the optimal 3-gate, depth-3 Figure 5 network (error
-// <= 2^-(2p-3)|xy|); N = 3, 4 are reconstructions whose bounds (2^-(3p-3),
-// 2^-(4p-4)) the test suite enforces against the exact BigFloat oracle.
+// <= 2^-(2p-3)|xy|). N = 3 is the commutative head plus one FastTwoSum pass,
+// 10 gates trimmed from a sweep and checked exhaustively at p = 3, 4; N = 4 is
+// a sweep reconstruction. The test suite enforces their bounds (2^-(3p-3),
+// 2^-(4p-4)) against the exact BigFloat oracle.
 
 #include <bit>
 #include <cstdint>

@@ -16,9 +16,9 @@ using namespace mf::fpan;
 // Shipped sizes and depths; add2 is the depth-5 AccurateDWPlusDW realization.
 static_assert(add_table<2>.size() == 6 && add_table<2>.depth() == 5);
 static_assert(mul_table<2>.size() == 3 && mul_table<2>.depth() == 3);
-static_assert(add_table<3>.size() == 18);
+static_assert(add_table<3>.size() == 16 && add_table<3>.depth() == 8);
 static_assert(add_table<4>.size() == 30);
-static_assert(mul_table<3>.size() == 13);
+static_assert(mul_table<3>.size() == 10 && mul_table<3>.depth() == 6);
 static_assert(mul_table<4>.size() == 29);
 
 TEST(Network, SizeDepthOfFigure2) {
@@ -37,9 +37,9 @@ TEST(Network, SizeDepthOfFigure5) {
 }
 
 TEST(Network, SweepNetworksMatchPaperScale) {
-    // Reconstructions: within a handful of gates of the paper's SMT-minimized
-    // networks (see DESIGN.md §2).
-    EXPECT_EQ(make_add_network(3).size(), 18);  // paper: 14
+    // Within a handful of gates of the paper's SMT-minimized networks (see
+    // DESIGN.md §2).
+    EXPECT_EQ(make_add_network(3).size(), 16);  // paper: 14
     EXPECT_EQ(make_add_network(4).size(), 30);  // paper: 26
     for (const Network& n : paper_networks()) {
         EXPECT_TRUE(n.well_formed()) << n.name;

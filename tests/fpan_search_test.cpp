@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include "fpan/checker.hpp"
+#include "fpan/gates.hpp"
 #include "fpan/library.hpp"
 #include "fpan/search.hpp"
 
 namespace {
 
 using namespace mf::fpan;
+
+/// The 18-gate add3 sweep the shipped 16-gate table was trimmed from.
+Network add3_sweep() { return to_network("add3", sweep_add_table<3>()); }
 
 TEST(Search, AnnealingFindsCorrectAdd2) {
     SearchOptions opts;
@@ -39,7 +43,7 @@ TEST(Search, GreedyTrimPreservesCorrectness) {
     o.n = 3;
     o.trials = 4000;
     o.exhaustive = false;  // keep the unit test fast; the tool runs the full pass
-    const Network base = make_add_network(3);
+    const Network base = add3_sweep();
     const Network t = greedy_trim(base, o);
     EXPECT_LE(t.size(), base.size());
     EXPECT_TRUE(t.well_formed());
@@ -60,7 +64,7 @@ TEST(Search, GreedyTrimApproachesPaperSize) {
     o.n = 3;
     o.trials = 3000;
     o.exhaustive = false;
-    const Network t = greedy_trim(make_add_network(3), o);
+    const Network t = greedy_trim(add3_sweep(), o);
     EXPECT_LE(t.size(), 16);
 }
 
@@ -71,7 +75,7 @@ TEST(Search, TrimRespectsExhaustiveVerification) {
     o.n = 3;
     o.trials = 1500;
     o.exhaustive = true;
-    const Network t = greedy_trim(make_add_network(3), o);
+    const Network t = greedy_trim(add3_sweep(), o);
     const CheckResult e = check_add_exhaustive(t, 3, 3, 1, 1);
     EXPECT_TRUE(e.pass) << "trimmed add3 fails exhaustion at size " << t.size();
 }

@@ -60,6 +60,22 @@ TEST(NetworkExhaustive, Add3ReducedWindow) {
     EXPECT_GT(r.cases, 1000000);
 }
 
+TEST(NetworkExhaustive, Add3WideWindow) {
+    // The window the shipped 16-gate add3 was trimmed against; the 14-gate
+    // trim of the reduced window fails it (PaperSizeAdd3FailsWideWindow).
+    const CheckResult r = check_add_exhaustive(make_add_network(3), 3, 3, 2, 2);
+    EXPECT_TRUE(r.pass) << r.note;
+    EXPECT_EQ(r.cases, 37664145);
+    EXPECT_EQ(r.worst_overlap_bits, 0);
+}
+
+TEST(NetworkExhaustive, Mul3AtP3) {
+    const CheckResult r = check_mul_exhaustive(make_mul_network(3), 3, 3, 0, 2);
+    EXPECT_TRUE(r.pass) << r.note;
+    EXPECT_GT(r.cases, 7000000);
+    EXPECT_EQ(r.worst_overlap_bits, 0);
+}
+
 TEST(NetworkRegression, SweepWithoutRenormOverlapsAtSmallP) {
     // Found by the exhaustive checker during development: dropping the final
     // FastTwoSum renormalization pass leaves a 1-bit nonoverlap violation for
@@ -70,6 +86,25 @@ TEST(NetworkRegression, SweepWithoutRenormOverlapsAtSmallP) {
     const CheckResult r = check_add_exhaustive(net, 3, 3, 2, 2);
     EXPECT_FALSE(r.pass);
     EXPECT_GE(r.worst_overlap_bits, 1);
+}
+
+TEST(NetworkRegression, PaperSizeAdd3FailsWideWindow) {
+    // greedy_trim of sweep_add_table<3>() with only the reduced (1,1) window
+    // in the loop: Figure 3's size 14 and depth 8. It passes that window and
+    // the randomized campaigns, and the (2,2) window refutes it, so the
+    // window the shipped add3 passes tells the two tables apart.
+    const Network net = Network::parse(
+        "add3_paper_size wires=6 out=0,2,1 : T(0,1) T(2,3) T(4,5) T(4,3) F(1,4) T(2,1) "
+        "F(0,2) A(3,5) A(4,3) F(1,4) F(2,1) A(1,4) F(0,2) F(2,1)");
+    ASSERT_TRUE(net.well_formed());
+    EXPECT_EQ(net.size(), 14);
+    EXPECT_EQ(net.depth(), 8);
+    EXPECT_TRUE(check_add_exhaustive(net, 3, 3, 1, 1).pass);
+    EXPECT_TRUE(check_add_random(net, 3, 30000, 101, paper_add_bound_bits(3, 53)).pass);
+    const CheckResult r = check_add_exhaustive(net, 3, 3, 2, 2);
+    EXPECT_FALSE(r.pass);
+    // The lowest failing case, whatever the number of checker threads.
+    EXPECT_EQ(r.note, "first failure: x/y expansion case #3613831");
 }
 
 TEST(NetworkRegression, NaiveTermwiseSumFails) {
