@@ -7,8 +7,11 @@
 // quantifies what correctness costs within the sweep family, and what the
 // shipped table costs against the unsound sweep.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
@@ -46,29 +49,64 @@ std::vector<MultiFloat<double, N>> operands(std::uint64_t seed) {
     return v;
 }
 
+/// Seconds per pass of each of `f...`: rounds of one timed pass of each in
+/// turn until `budget` seconds, and per function the median over rounds.
+/// Interleaving puts the host's drift on every variant alike, and the median
+/// ignores the rounds an interrupt lands in. Also returns, for each function,
+/// the median over rounds of its time over the first function's.
+template <typename... F>
+std::pair<std::array<double, sizeof...(F)>, std::array<double, sizeof...(F)>> interleaved(
+    double budget, F&&... f) {
+    constexpr std::size_t K = sizeof...(F);
+    std::array<std::vector<double>, K> t, ratio;
+    double total = 0.0;
+    while (total < budget || t[0].size() < 11) {
+        std::array<double, K> round{};
+        std::size_t i = 0;
+        ((round[i++] = bench::time_once(f)), ...);
+        for (std::size_t k = 0; k < K; ++k) {
+            t[k].push_back(round[k]);
+            ratio[k].push_back(round[k] / round[0]);
+            total += round[k];
+        }
+    }
+    const auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                         v.end());
+        return v[v.size() / 2];
+    };
+    std::array<double, K> secs{}, rel{};
+    for (std::size_t k = 0; k < K; ++k) {
+        secs[k] = median(t[k]);
+        rel[k] = median(ratio[k]);
+    }
+    return {secs, rel};
+}
+
 template <int N>
 void run() {
+    constexpr int kReps = 8;  // passes over the 1024 operands per timing
     const auto xs = operands<N>(1);
     const auto ys = operands<N>(2);
     std::vector<MultiFloat<double, N>> zs(1024);
-    const double t0 = bench::best_time([&] {
-        for (std::size_t i = 0; i < 1024; ++i) zs[i] = add_variant<N, 0>(xs[i], ys[i]);
-    });
-    const double t1 = bench::best_time([&] {
-        for (std::size_t i = 0; i < 1024; ++i) zs[i] = add_variant<N, 1>(xs[i], ys[i]);
-    });
-    const double t2 = bench::best_time([&] {
-        for (std::size_t i = 0; i < 1024; ++i) zs[i] = add_variant<N, 2>(xs[i], ys[i]);
-    });
-    const double ts = bench::best_time([&] {
-        for (std::size_t i = 0; i < 1024; ++i) zs[i] = xs[i] + ys[i];
-    });
+    const auto pass = [&](auto&& add) {
+        return [&, add] {
+            for (int r = 0; r < kReps; ++r) {
+                for (std::size_t i = 0; i < 1024; ++i) zs[i] = add(xs[i], ys[i]);
+            }
+        };
+    };
+    const auto [secs, rel] = interleaved(
+        1.0, pass([](const auto& x, const auto& y) { return add_variant<N, 0>(x, y); }),
+        pass([](const auto& x, const auto& y) { return add_variant<N, 1>(x, y); }),
+        pass([](const auto& x, const auto& y) { return add_variant<N, 2>(x, y); }),
+        pass([](const auto& x, const auto& y) { return x + y; }));
+    const auto ns = [&](std::size_t k) { return secs[k] / (1024 * kReps) * 1e9; };
     std::printf("add N=%d [ns/op]: renorms=0 %6.2f (UNSOUND)  renorms=1 %6.2f  "
                 "renorms=2 %6.2f  shipped %6.2f (%d gates)\n",
-                N, t0 / 1024 * 1e9, t1 / 1024 * 1e9, t2 / 1024 * 1e9, ts / 1024 * 1e9,
-                fpan::add_table<N>.size());
+                N, ns(0), ns(1), ns(2), ns(3), fpan::add_table<N>.size());
     std::printf("  correctness cost over renorms=0: renorms=1 %.1f%%, shipped %.1f%%\n",
-                (t1 / t0 - 1.0) * 100.0, (ts / t0 - 1.0) * 100.0);
+                (rel[1] - 1.0) * 100.0, (rel[3] - 1.0) * 100.0);
 }
 
 }  // namespace

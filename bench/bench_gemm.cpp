@@ -30,6 +30,7 @@
 //
 //   usage: bench_gemm [--quick] [output.json]     (default BENCH_gemm.json)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -219,7 +220,10 @@ void run_blas_gemm(bench::JsonReport& out, std::size_t dim, std::size_t kdim,
 /// batches; a single call is near the clock's resolution. Each call of a
 /// batch takes the next row of a ring of kRing rows at the LU's stride, as
 /// the LU's calls do: rerunning one short row in place would time store
-/// forwarding and code alignment instead of the call.
+/// forwarding and code alignment instead of the call. Entry and kernel
+/// batches alternate in one loop, so both see the same host state and the
+/// ceiling is a floor; each reports its median batch, or its best batch for
+/// the n = 8 calls, whose medians swing by tens of percent between runs.
 void run_blas_entry(bench::JsonReport& out, double min_time) {
     using V = MultiFloat<double, 2>;
     constexpr int kBatch = 256;
@@ -230,20 +234,35 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
     const std::size_t ld = runtime_size(256);
     volatile double sink = 0.0;
     volatile std::size_t isink = 0;
-    const auto per_call = [&](auto&& call) {
-        return bench::median_time(
-                   [&] {
-                       for (int i = 0; i < kBatch; ++i) call(static_cast<std::size_t>(i) % kRing);
-                   },
-                   min_time) /
-               kBatch;
+    // Seconds per call of `call` and of `bare`, timed in alternating batches.
+    const auto per_call = [&](auto&& call, auto&& bare, bool best) {
+        const auto batch = [&](auto&& f) {
+            return bench::time_once([&] {
+                for (int i = 0; i < kBatch; ++i) f(static_cast<std::size_t>(i) % kRing);
+            });
+        };
+        batch(call);  // warm-up: touch the ring, settle the clocks
+        batch(bare);
+        std::vector<double> tc, tb;
+        double total = 0.0;
+        while (total < min_time || tc.size() < 5) {
+            tc.push_back(batch(call));
+            tb.push_back(batch(bare));
+            total += tc.back() + tb.back();
+        }
+        const auto pick = [&](std::vector<double>& t) {
+            const auto at = best ? t.begin() : t.begin() + static_cast<std::ptrdiff_t>(t.size() / 2);
+            std::nth_element(t.begin(), at, t.end());
+            return *at / kBatch;
+        };
+        return std::pair{pick(tc), pick(tb)};
     };
     // `madds` = multiply-adds per call (0 for iamax, which only compares).
     const auto entry = [&](const char* op, std::size_t n, std::size_t cols, double madds,
-                           auto&& call, double ceiling) {
+                           auto&& call, auto&& bare) {
         for (const guard::Policy p : {guard::Policy::warn, guard::Policy::ignore}) {
             guard::set_policy(p);
-            const double secs = per_call(call);
+            const auto [secs, ceiling] = per_call(call, bare, n == 8);
             std::printf("  %-11s %-5s  n=%-3zu%s%-3s guard=%-6s %8.1f ns/call  (kernel %6.1f ns)\n",
                         "blas_entry", op, n, cols ? " x " : "   ",
                         cols ? std::to_string(cols).c_str() : "", guard::policy_name(p),
@@ -272,19 +291,16 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
             [&](std::size_t r) {
                 blas::axpy(alpha, blas::view(std::as_const(x)), blas::VectorView<V>(row(r), n));
             },
-            per_call([&](std::size_t r) {
-                simd::axpy(alpha, simd::aos(x.data()), simd::aos(row(r)), n);
-            }));
+            [&](std::size_t r) { simd::axpy(alpha, simd::aos(x.data()), simd::aos(row(r)), n); });
         entry(
             "dot", n, 0, double(n),
             [&](std::size_t r) {
                 sink = blas::dot(blas::ConstVectorView<V>(row(r), n), blas::view(std::as_const(x)))
                            .limb[0];
             },
-            per_call([&](std::size_t r) {
-                const V* xr = row(r);
-                sink = simd::dot(simd::aos(xr), simd::aos(x.data()), n).limb[0];
-            }));
+            [&](std::size_t r) {
+                sink = simd::dot(simd::aos(row(r)), simd::aos(x.data()), n).limb[0];
+            });
     }
     // The LU shapes of perfbench's lu_solve (n = 256, block 32): the first
     // panel column's 255-row ger of 31 columns, a late one of 7, and the
@@ -307,7 +323,7 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
                 blas::ger(alpha, blas::view(std::as_const(x)), blas::view(std::as_const(y)),
                           blas::MatrixView<V>(a.data(), n, cols, ld));
             },
-            per_call([&](std::size_t) {
+            [&](std::size_t) {
                 const simd::Matrix<simd::Aos<double, 2>> am{simd::aos(a.data()), n, cols, ld};
                 simd::with_active_width<double>([&](auto w) {
                     blas::engine::parallel_for(n, n * cols, [&](std::size_t lo, std::size_t hi) {
@@ -317,7 +333,7 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
                             decltype(am){am.row(lo), hi - lo, cols, ld}, hi - lo, cols);
                     });
                 });
-            }));
+            });
     };
     ger(255, 7);
     ger(255, 31);
@@ -328,7 +344,7 @@ void run_blas_entry(bench::JsonReport& out, double min_time) {
     entry(
         "iamax", n, 0, 0.0,
         [&](std::size_t) { isink = blas::iamax(blas::view(std::as_const(x))); },
-        per_call([&](std::size_t) { isink = simd::iamax(simd::aos(x.data()), n); }));
+        [&](std::size_t) { isink = simd::iamax(simd::aos(x.data()), n); });
 }
 
 /// Cost of one engine fork/join: an empty parallel_blocks_slots region with

@@ -118,7 +118,7 @@ void BM_sqrt_throughput(benchmark::State& state) {
     BENCHMARK(BM_div_throughput<V>)->Name("div_throughput/" tag);   \
     BENCHMARK(BM_sqrt_throughput<V>)->Name("sqrt_throughput/" tag)
 
-// --- transcendental throughput (library extensions) --------------------------
+// --- transcendental throughput and latency (library extensions) --------------
 
 template <typename V>
 void BM_exp_throughput(benchmark::State& state) {
@@ -144,8 +144,34 @@ void BM_sin_throughput(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 
+// Dependent chains, the shape of a twiddle or Newton loop: x <- exp(-x)
+// stays in (0, 1] (it converges to 0.567...), and x <- sin(x) is restarted
+// from the operands every 64 calls so it stays in (0, 2).
+template <typename V>
+void BM_exp_latency(benchmark::State& state) {
+    V acc(1.0);
+    for (auto _ : state) {
+        acc = exp(-acc);
+        benchmark::DoNotOptimize(acc);
+    }
+}
+
+template <typename V>
+void BM_sin_latency(benchmark::State& state) {
+    const auto xs = operands<V>(256, 12);
+    V acc = xs[0];
+    std::size_t i = 0;
+    for (auto _ : state) {
+        acc = sin(acc);
+        benchmark::DoNotOptimize(acc);
+        if ((++i & 63) == 0) acc = xs[(i >> 6) & 255];
+    }
+}
+
 #define MF_BENCH_ELEM(V, tag)                                      \
+    BENCHMARK(BM_exp_latency<V>)->Name("exp_latency/" tag);        \
     BENCHMARK(BM_exp_throughput<V>)->Name("exp_throughput/" tag);  \
+    BENCHMARK(BM_sin_latency<V>)->Name("sin_latency/" tag);        \
     BENCHMARK(BM_sin_throughput<V>)->Name("sin_throughput/" tag)
 
 // --- complex latency and throughput (the layer under perfbench's

@@ -6,12 +6,23 @@
 // libraries (QD, MultiFloats.jl) do, using only the branch-free +,-,*,/ of
 // this library plus classical argument reduction:
 //
-//   exp: x = m*ln2 + r, r scaled by 2^-kScale, Horner Taylor, repeated
+//   exp: x = m*ln2 + r, r scaled by 2^-kScale, Estrin Taylor, repeated
 //        squaring, exact ldexp by m.
 //   log: Newton's method on exp (y <- y - 1 + x*exp(-y)), double-precision
 //        seed, quadratically convergent.
 //   sin/cos: reduce modulo pi/2 at full working precision, quadrant
-//        dispatch, Horner Taylor with precomputed inverse factorials.
+//        dispatch, Estrin Taylor in r^2.
+//
+// The three Taylor series are one evaluator, detail::estrin4: four Horner
+// chains in z^4, one per residue class of the term index mod 4, run side by
+// side on the lanes of a MultiFloat<simd::Pack<T, 4>, N> over coefficient
+// lanes built once per (T, N) from the precomputed inverse factorials, then
+// joined as (C0 + z C1) + z^2 (C2 + z C3). A Pack lane runs the scalar IEEE
+// operations, so every backend and ISA level returns the same bits as the
+// same order written out with scalar mf::add / mf::mul (tests/
+// elementary_test.cpp, Elementary.LaneSeriesMatchesScalarEstrin). The
+// chains are independent, so a series takes about a quarter of its serial
+// Horner latency plus the join.
 //
 // Accuracy: a few ulps of the expansion's working precision (tested against
 // exact series oracles and algebraic identities in tests/elementary_test.cpp).
@@ -24,6 +35,7 @@
 #include <array>
 #include <cmath>
 
+#include "../simd/pack.hpp"
 #include "add.hpp"
 #include "convert.hpp"
 #include "div_sqrt.hpp"
@@ -87,6 +99,103 @@ inline constexpr int trig_terms = N == 1 ? 18 : N == 2 ? 30 : N == 3 ? 38 : 46;
 
 inline constexpr int kExpScale = 9;  // reduce |r| below ln2/2 / 2^9 ~ 6.8e-4
 
+/// The coefficients c_0..c_{M-1} of a series in z dealt onto four lanes:
+/// row i holds c_{4i}, c_{4i+2}, c_{4i+1}, c_{4i+3} (zero past c_{M-1}).
+/// The lane order puts the even classes in the low half, so halves() splits
+/// the four chains into (C0, C2) and (C1, C3).
+template <FloatingPoint T, int N, int M>
+using LaneSeries = std::array<MultiFloat<simd::Pack<T, 4>, N>, (M + 3) / 4>;
+
+/// Row i, lane l of the table holds c_{4i + kClassOfLane[l]}.
+inline constexpr int kClassOfLane[4] = {0, 2, 1, 3};
+
+/// Deal c_j = sign(j) / (step*j + first)! for j < M onto four lanes; sign(j)
+/// is -1 for odd j when `alternating`.
+template <FloatingPoint T, int N, int M, int KMax>
+LaneSeries<T, N, M> deal_inv_factorials(int step, int first, bool alternating) {
+    const auto& inv = inv_factorials<T, N, KMax>();
+    LaneSeries<T, N, M> rows;
+    for (int i = 0; i < (M + 3) / 4; ++i) {
+        MultiFloat<T, N> c[4];
+        for (int l = 0; l < 4; ++l) {
+            const int j = 4 * i + kClassOfLane[l];
+            if (j >= M) continue;
+            c[l] = inv[static_cast<std::size_t>(step * j + first)];
+            if (alternating && j % 2 == 1) c[l] = -c[l];
+        }
+        for (int k = 0; k < N; ++k) {
+            rows[static_cast<std::size_t>(i)].limb[k] =
+                simd::Pack<T, 4>::setr(c[0].limb[k], c[1].limb[k], c[2].limb[k], c[3].limb[k]);
+        }
+    }
+    return rows;
+}
+
+/// exp: c_j = 1/j!, j < exp_terms.
+template <FloatingPoint T, int N>
+const LaneSeries<T, N, exp_terms<N>>& exp_series() {
+    static const auto rows =
+        deal_inv_factorials<T, N, exp_terms<N>, exp_terms<N>>(1, 0, false);
+    return rows;
+}
+
+/// sin(r) / r in z = r^2: c_j = (-1)^j / (2j+1)!, for the odd k < trig_terms.
+template <FloatingPoint T, int N>
+const LaneSeries<T, N, trig_terms<N> / 2>& sin_series() {
+    static const auto rows =
+        deal_inv_factorials<T, N, trig_terms<N> / 2, trig_terms<N>>(2, 1, true);
+    return rows;
+}
+
+/// cos(r) in z = r^2: c_j = (-1)^j / (2j)!, for the even k < trig_terms.
+template <FloatingPoint T, int N>
+const LaneSeries<T, N, trig_terms<N> / 2>& cos_series() {
+    static const auto rows =
+        deal_inv_factorials<T, N, trig_terms<N> / 2, trig_terms<N>>(2, 0, true);
+    return rows;
+}
+
+/// sum_j c_j z^j by Estrin order 4: the chain of class q runs Horner over
+/// c_{4i+q} in v = z^4 on its own lane (a lane past its last term holds
+/// zero, and 0 * v + c returns c), and the four chains C0..C3 join as
+/// (C0 + z C1) + z^2 (C2 + z C3), the inner pair on two lanes.
+template <FloatingPoint T, int N, std::size_t R>
+MultiFloat<T, N> estrin4(const std::array<MultiFloat<simd::Pack<T, 4>, N>, R>& rows,
+                         const MultiFloat<T, N>& z) {
+    using P4 = simd::Pack<T, 4>;
+    using P2 = simd::Pack<T, 2>;
+    const MultiFloat<T, N> z2 = mul(z, z);
+    const MultiFloat<T, N> v = mul(z2, z2);
+    MultiFloat<P4, N> v4;
+    MultiFloat<P2, N> z_2;
+    for (int k = 0; k < N; ++k) {
+        v4.limb[k] = P4::broadcast(v.limb[k]);
+        z_2.limb[k] = P2::broadcast(z.limb[k]);
+    }
+    MultiFloat<P4, N> acc = rows[R - 1];
+    for (std::size_t i = R - 1; i-- > 0;) acc = add(mul(acc, v4), rows[i]);
+    // (C0, C2) + z (C1, C3) on two lanes.
+    MultiFloat<P2, N> even, odd;
+    for (int k = 0; k < N; ++k) {
+        const auto [lo, hi] = acc.limb[k].halves();
+        even.limb[k] = lo;
+        odd.limb[k] = hi;
+    }
+    const MultiFloat<P2, N> pair = add(even, mul(z_2, odd));
+    MultiFloat<T, N> a, b;
+    for (int k = 0; k < N; ++k) {
+        a.limb[k] = pair.limb[k][0];
+        b.limb[k] = pair.limb[k][1];
+    }
+    return add(a, mul(z2, b));
+}
+
+/// e^r for the reduced |r| <= ln2/2 * 2^-kExpScale.
+template <FloatingPoint T, int N>
+MultiFloat<T, N> exp_reduced(const MultiFloat<T, N>& r) {
+    return estrin4(exp_series<T, N>(), r);
+}
+
 }  // namespace detail
 
 /// e^x. Overflows (to inf in the leading limb) past the base type's range.
@@ -105,13 +214,7 @@ template <FloatingPoint T, int N>
     MF r = sub(x, mul(detail::const_ln2<T, N>(), MF(static_cast<T>(m))));
     // Scale r down so the Taylor series needs few terms.
     r = ldexp(r, -detail::kExpScale);
-    // Horner over precomputed 1/k!.
-    constexpr int K = detail::exp_terms<N>;
-    const auto& inv = detail::inv_factorials<T, N, K>();
-    MF acc = inv[K - 1];
-    for (int k = K - 2; k >= 0; --k) {
-        acc = add(mul(acc, r), inv[static_cast<std::size_t>(k)]);
-    }
+    MF acc = detail::exp_reduced(r);
     // Undo the scaling: square kExpScale times, then the exact 2^m.
     for (int s = 0; s < detail::kExpScale; ++s) acc = mul(acc, acc);
     return ldexp(acc, static_cast<int>(m));
@@ -139,32 +242,15 @@ template <FloatingPoint T, int N>
 
 namespace detail {
 
-/// sin/cos of a reduced argument |r| <= pi/4 via Horner Taylor.
+/// sin/cos of a reduced argument |r| <= pi/4 by their Taylor series in r^2.
 template <FloatingPoint T, int N>
 MultiFloat<T, N> sin_reduced(const MultiFloat<T, N>& r) {
-    constexpr int K = trig_terms<N>;
-    const auto& inv = inv_factorials<T, N, K>();
-    const MultiFloat<T, N> r2 = mul(r, r);
-    // sum over odd k: r * (1/1! - r^2/3! + r^4/5! - ...)
-    MultiFloat<T, N> acc{};
-    for (int k = (K - 1) | 1; k >= 1; k -= 2) {
-        const auto& c = inv[static_cast<std::size_t>(k)];
-        acc = add(mul(acc, r2), ((k / 2) % 2 == 0) ? c : -c);
-    }
-    return mul(acc, r);
+    return mul(estrin4(sin_series<T, N>(), mul(r, r)), r);
 }
 
 template <FloatingPoint T, int N>
 MultiFloat<T, N> cos_reduced(const MultiFloat<T, N>& r) {
-    constexpr int K = trig_terms<N>;
-    const auto& inv = inv_factorials<T, N, K>();
-    const MultiFloat<T, N> r2 = mul(r, r);
-    MultiFloat<T, N> acc{};
-    for (int k = (K - 1) & ~1; k >= 0; k -= 2) {
-        const auto& c = inv[static_cast<std::size_t>(k)];
-        acc = add(mul(acc, r2), ((k / 2) % 2 == 0) ? c : -c);
-    }
-    return acc;
+    return estrin4(cos_series<T, N>(), mul(r, r));
 }
 
 /// Argument reduction: r = x - q * pi/2 at full working precision; returns

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <type_traits>
+#include <vector>
 
 #include "mf/elementary.hpp"
 #include "support.hpp"
@@ -319,6 +323,106 @@ TEST(Elementary, LargeArgumentReduction) {
     // r ~ 0.97; bring into series range.
     const BigFloat want = sin_oracle(r.round(400));
     MF_EXPECT_REL_BOUND(s, want, 3 * 53 - 3 - 14);
+}
+
+// The Estrin order of detail::estrin4 written out with scalar mf::add /
+// mf::mul: four Horner chains in v = z^4, chain q over c_{4i+q} from its own
+// last term, joined as (C0 + z C1) + z^2 (C2 + z C3).
+template <FloatingPoint T, int N>
+MultiFloat<T, N> scalar_estrin(const std::vector<MultiFloat<T, N>>& c,
+                               const MultiFloat<T, N>& z) {
+    using M = MultiFloat<T, N>;
+    const M z2 = mul(z, z);
+    const M v = mul(z2, z2);
+    M chain[4];
+    for (int q = 0; q < 4; ++q) {
+        int i = (static_cast<int>(c.size()) - 1 - q) / 4;
+        M acc = c[static_cast<std::size_t>(4 * i + q)];
+        while (--i >= 0) acc = add(mul(acc, v), c[static_cast<std::size_t>(4 * i + q)]);
+        chain[q] = acc;
+    }
+    return add(add(chain[0], mul(z, chain[1])), mul(z2, add(chain[2], mul(z, chain[3]))));
+}
+
+/// c_j = sign(j) / (step*j + first)! for j < count, from the library's 1/k!.
+template <FloatingPoint T, int N, int KMax>
+std::vector<MultiFloat<T, N>> series(int count, int step, int first, bool alternating) {
+    const auto& inv = mf::detail::inv_factorials<T, N, KMax>();
+    std::vector<MultiFloat<T, N>> c;
+    for (int j = 0; j < count; ++j) {
+        const auto& x = inv[static_cast<std::size_t>(step * j + first)];
+        c.push_back(alternating && j % 2 == 1 ? -x : x);
+    }
+    return c;
+}
+
+template <FloatingPoint T>
+bool same_limb(T got, T want) {
+    using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    return std::bit_cast<Bits>(got) == std::bit_cast<Bits>(want);
+}
+
+// Every limb of the lane evaluation of sin_reduced, cos_reduced and
+// exp_reduced equals scalar_estrin's: reduced trigonometric arguments
+// |r| <= pi/4 (from trig_reduce of random x, from small ladders, and the
+// endpoints) and exp's reduced range (from exp's own reduction, and small
+// ladders).
+template <FloatingPoint T, int N>
+void expect_lane_series_matches(std::uint64_t seed, int cases) {
+    using M = MultiFloat<T, N>;
+    namespace d = mf::detail;
+    constexpr int KT = d::trig_terms<N>;
+    constexpr int KE = d::exp_terms<N>;
+    const auto sin_c = series<T, N, KT>(KT / 2, 2, 1, true);
+    const auto cos_c = series<T, N, KT>(KT / 2, 2, 0, true);
+    const auto exp_c = series<T, N, KE>(KE, 1, 0, false);
+    std::mt19937_64 rng(seed);
+    const auto expect_same = [](const M& got, const M& want, const char* what, int i) {
+        for (int k = 0; k < N; ++k) {
+            EXPECT_TRUE(same_limb(got.limb[k], want.limb[k]))
+                << what << " N=" << N << " case " << i << " limb " << k << ": "
+                << got.limb[k] << " vs " << want.limb[k];
+        }
+    };
+    const T quarter_pi = static_cast<T>(0.78539816339744831);
+    for (int i = 0; i < cases; ++i) {
+        M r;
+        if (i < 3) {
+            r = M(i == 0 ? T(0) : i == 1 ? quarter_pi : -quarter_pi);
+        } else if (i % 2 == 0) {
+            d::trig_reduce(adversarial<T, N>(rng, -4, 3), r);
+        } else {
+            r = adversarial<T, N>(rng, -40, -2);
+        }
+        EXPECT_LE(std::abs(static_cast<double>(r.limb[0])), 0.7854);
+        const M r2 = mul(r, r);
+        expect_same(d::sin_reduced(r), mul(scalar_estrin(sin_c, r2), r), "sin", i);
+        expect_same(d::cos_reduced(r), scalar_estrin(cos_c, r2), "cos", i);
+
+        M e;
+        if (i % 2 == 0) {
+            // exp's own reduction of x = m ln2 + r, scaled by 2^-kExpScale.
+            const M x = adversarial<T, N>(rng, -6, 5);
+            const double m = std::nearbyint(static_cast<double>(x.limb[0]) / 0.6931471805599453);
+            e = ldexp(sub(x, mul(d::const_ln2<T, N>(), M(static_cast<T>(m)))), -d::kExpScale);
+        } else {
+            e = adversarial<T, N>(rng, -60, -12);
+        }
+        EXPECT_LE(std::abs(static_cast<double>(e.limb[0])), 0x1p-10);
+        expect_same(d::exp_reduced(e), scalar_estrin(exp_c, e), "exp", i);
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(Elementary, LaneSeriesMatchesScalarEstrin) {
+    expect_lane_series_matches<double, 1>(21, 1000);
+    expect_lane_series_matches<double, 2>(22, 1000);
+    expect_lane_series_matches<double, 3>(23, 1000);
+    expect_lane_series_matches<double, 4>(24, 1000);
+    expect_lane_series_matches<float, 1>(25, 1000);
+    expect_lane_series_matches<float, 2>(26, 1000);
+    expect_lane_series_matches<float, 3>(27, 1000);
+    expect_lane_series_matches<float, 4>(28, 1000);
 }
 
 }  // namespace
