@@ -7,19 +7,21 @@
 // Throughput is reported in billions of extended-precision operations per
 // second (GOp/s).
 //
-// Deviation from the paper's methodology (single-core container): problem
-// sizes are chosen per number type so one measurement takes a sane wall time
-// -- capped above by the L3-resident sizes the paper uses, and below so slow
-// software-FPU baselines still finish. All kernels are compute-bound at
+// Deviation from the paper's methodology: problem sizes are chosen per
+// number type so one measurement takes a sane wall time -- capped above by
+// the L3-resident sizes the paper uses, and below so slow software-FPU
+// baselines still finish. All kernels are compute-bound at
 // these sizes, so GOp/s is insensitive to the exact n. See EXPERIMENTS.md.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mf::bench {
@@ -71,6 +73,41 @@ double median_time(F&& f, double min_time = 0.15, int min_reps = 5) {
     std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(mid),
                      samples.end());
     return samples[mid];
+}
+
+/// Seconds per pass of each of `f...`: rounds of one timed pass of each in
+/// turn until `budget` seconds (and at least 11 rounds), and per function the
+/// median over rounds. Interleaving puts the host's drift on every variant
+/// alike, and the median ignores the rounds an interrupt lands in. Also
+/// returns, for each function, the median over rounds of its time over the
+/// first function's.
+template <typename... F>
+std::pair<std::array<double, sizeof...(F)>, std::array<double, sizeof...(F)>> interleaved(
+    double budget, F&&... f) {
+    constexpr std::size_t K = sizeof...(F);
+    std::array<std::vector<double>, K> t, ratio;
+    double total = 0.0;
+    while (total < budget || t[0].size() < 11) {
+        std::array<double, K> round{};
+        std::size_t i = 0;
+        ((round[i++] = time_once(f)), ...);
+        for (std::size_t k = 0; k < K; ++k) {
+            t[k].push_back(round[k]);
+            ratio[k].push_back(round[k] / round[0]);
+            total += round[k];
+        }
+    }
+    const auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                         v.end());
+        return v[v.size() / 2];
+    };
+    std::array<double, K> secs{}, rel{};
+    for (std::size_t k = 0; k < K; ++k) {
+        secs[k] = median(t[k]);
+        rel[k] = median(ratio[k]);
+    }
+    return {secs, rel};
 }
 
 /// L3 cache size in bytes (sysfs, fallback 16 MiB).

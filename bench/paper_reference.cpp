@@ -5,6 +5,13 @@
 
 namespace mf::bench::paper {
 
+const RefTable& reference(Kernel k, Machine m) {
+    static constexpr const RefTable* kTables[2][4] = {
+        {&kZen5Axpy, &kZen5Dot, &kZen5Gemv, &kZen5Gemm},
+        {&kM3Axpy, &kM3Dot, &kM3Gemv, &kM3Gemm}};
+    return *kTables[static_cast<int>(m)][static_cast<int>(k)];
+}
+
 void print_ref(const RefTable& t) {
     std::printf("\nPaper reference: %.*s %.*s (Fig. %s)\n",
                 static_cast<int>(t.machine.size()), t.machine.data(),

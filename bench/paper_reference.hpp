@@ -3,10 +3,12 @@
 // output is self-interpreting: we print our measured table next to the
 // paper's, and compare SHAPE (who wins, by roughly what factor) rather than
 // absolute GOp/s -- the paper measured a 16-core AMD Zen 5 and a 12-core
-// Apple M3 Pro; this reproduction runs on whatever single core it gets.
+// Apple M3 Pro; this reproduction runs on whatever host it gets.
 
 #include <array>
 #include <string_view>
+
+#include "suite.hpp"
 
 namespace mf::bench::paper {
 
@@ -127,6 +129,12 @@ inline constexpr std::array<std::array<double, 4>, 4> kRdna3 = {
      {84.83, 56.72, 38.14, 28.44},
      {170.77, 92.37, 28.42, 31.92},
      {466.43, 277.37, 170.50, 81.11}}};
+
+enum class Machine { Zen5, M3 };
+
+/// The paper's table for kernel k on machine m (Figure 9: Zen 5, Figure 10:
+/// M3).
+[[nodiscard]] const RefTable& reference(Kernel k, Machine m);
 
 /// Render a reference table in the same layout as our measured tables.
 void print_ref(const RefTable& t);

@@ -1,9 +1,6 @@
 #include "suite.hpp"
 
 #include <cstdint>
-#include <string_view>
-
-#include "paper_reference.hpp"
 
 #include "baselines/campary/campary.hpp"
 #include "baselines/gmp_float.hpp"
@@ -297,56 +294,6 @@ Table run_kernel_table(Kernel k, const SuiteOptions& opts) {
     fill_cell<__float128>(t, 5, 1, k, opts);
 
     return t;
-}
-
-SuiteOptions parse_options(int argc, char** argv) {
-    SuiteOptions o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view a = argv[i];
-        if (a == "-v" || a == "--verbose") o.verbose = true;
-        if (a == "--quick") {
-            o.min_time = 0.04;
-            o.ops_budget = 1e6;
-        }
-    }
-    return o;
-}
-
-int fig9_main(Kernel k, int argc, char** argv) {
-    const SuiteOptions opts = parse_options(argc, argv);
-    std::printf("Regenerating the paper's %s tables (Figures 9 and 10).\n",
-                kernel_name(k));
-    std::printf(
-        "NOTE: this container exposes ONE core; the paper used a 16-core Zen 5\n"
-        "and a 12-core M3 Pro. Compare SHAPE (who wins, by what factor), not\n"
-        "absolute GOp/s. See EXPERIMENTS.md for the full methodology.\n");
-    const Table t = run_kernel_table(k, opts);
-    t.print();
-
-    const paper::RefTable* zen5 = nullptr;
-    const paper::RefTable* m3 = nullptr;
-    switch (k) {
-        case Kernel::Axpy: zen5 = &paper::kZen5Axpy; m3 = &paper::kM3Axpy; break;
-        case Kernel::Dot: zen5 = &paper::kZen5Dot; m3 = &paper::kM3Dot; break;
-        case Kernel::Gemv: zen5 = &paper::kZen5Gemv; m3 = &paper::kM3Gemv; break;
-        default: zen5 = &paper::kZen5Gemm; m3 = &paper::kM3Gemm; break;
-    }
-    paper::print_ref(*zen5);
-    paper::print_ref(*m3);
-
-    std::printf("\nShape check: MultiFloats speedup over next-best library\n");
-    std::printf("%-10s%16s%16s%16s\n", "precision", "measured", "paper(Zen5)",
-                "paper(M3)");
-    for (std::size_t c = 0; c < t.columns.size(); ++c) {
-        const double best = t.best_excluding(0, c);
-        const double measured = best > 0 && t.cells[0][c].available
-                                    ? t.cells[0][c].gops / best
-                                    : 0.0;
-        std::printf("%-10s%15.2fx%15.2fx%15.2fx\n", t.columns[c].c_str(), measured,
-                    paper::ref_ratio(*zen5, static_cast<int>(c)),
-                    paper::ref_ratio(*m3, static_cast<int>(c)));
-    }
-    return 0;
 }
 
 Table run_float_proxy_table(const SuiteOptions& opts) {

@@ -1,7 +1,8 @@
 #pragma once
 // The paper's §5 evaluation suite: AXPY / DOT / GEMV / GEMM across every
-// library and precision level (Figures 8-10). Each fig* binary calls into
-// this translation unit so all figures share one measurement methodology.
+// library and precision level (Figures 8-11). Every fig* subcommand of
+// paper_bench calls into this translation unit, so all figures share one
+// measurement methodology.
 
 #include <string>
 
@@ -25,13 +26,5 @@ struct SuiteOptions {
 
 /// Fig 11 layout: MultiFloat<float, N> for N = 1..4 across all kernels.
 [[nodiscard]] Table run_float_proxy_table(const SuiteOptions& opts);
-
-/// Shared driver for the fig9_* binaries: measure one kernel, print our
-/// table, the paper's reference tables (Zen 5 + M3), and a shape comparison
-/// (our speedup over the next-best library vs. the paper's). Returns 0.
-int fig9_main(Kernel k, int argc, char** argv);
-
-/// Parse common CLI flags (-v verbose, --quick shorter runs).
-[[nodiscard]] SuiteOptions parse_options(int argc, char** argv);
 
 }  // namespace mf::bench

@@ -14,7 +14,8 @@
 //
 // The schedule (detail::newton_steps) was validated against the exact
 // BigFloat oracle (tests/divsqrt_test.cpp, tools/mf_fuzz);
-// bench/ablation_divsqrt.cpp times it against a full-width loop.
+// `paper_bench ablation_divsqrt` (bench/paper_bench.cpp) times it against a
+// full-width loop.
 
 #include <cmath>
 
